@@ -95,7 +95,7 @@ N_WRITES = 900
 
 
 class UninstrumentedArray(DiskArray):
-    """The pre-exposure write path and lag bookkeeping, as the control.
+    """The pre-exposure write marking and lag bookkeeping, as the control.
 
     Identical to the stock methods with the ``self.exposure`` branches
     deleted outright (the tracer branch stays: it belongs to the test
@@ -103,29 +103,14 @@ class UninstrumentedArray(DiskArray):
     ``None`` isolates what the exposure/registry hooks cost when disabled.
     """
 
-    def _write_afraid(self, request, runs_by_stripe):
+    def _mark_runs(self, stripe_items):
         newly_marked = False
-        for stripe, runs in runs_by_stripe.items():
+        for stripe, runs in stripe_items:
             for run in runs:
                 for sub_unit in self._sub_units_of(run):
                     newly_marked |= self.marks.mark(stripe, sub_unit)
         if newly_marked:
             self._lag_changed()
-        events = []
-        for runs in runs_by_stripe.values():
-            for run in runs:
-                events.append(
-                    self.drivers[run.disk].submit(
-                        DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors)
-                    )
-                )
-                self.stats.foreground_data_writes += 1
-        yield AllOf(self.sim, events)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-        self.policy.on_stripes_marked()
 
     def _lag_changed(self):
         if not self._finished:

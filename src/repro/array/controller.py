@@ -42,6 +42,28 @@ if typing.TYPE_CHECKING:  # pragma: no cover - optional functional twin
     from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, Tracer
 
 
+def _schedule_now(
+    sim: Simulator, callback, exception: BaseException | None = None
+) -> None:
+    """Schedule a pre-triggered event with one ``callback`` at (now, seq).
+
+    ``Event()`` plus ``succeed()``/``fail()`` fused: the host pump's
+    kick, every service bootstrap kick and every barrier hop is one of
+    these, so building the event in place is measurable at replay scale.
+    """
+    event = Event.__new__(Event)
+    event.sim = sim
+    event.name = ""
+    event.callbacks = [callback]
+    event.defused = False
+    event._value = None
+    event._exception = exception
+    event._scheduled = True
+    event._handled = False
+    sim._sequence += 1
+    sim._bucket.append(event)
+
+
 @dataclasses.dataclass
 class ArrayStats:
     """Cumulative controller counters."""
@@ -135,7 +157,6 @@ class DiskArray:
         # Hot-path event/process labels, formatted once (per-request
         # f-strings showed up in sweep profiles).
         self._ev_done = f"{name}.done"
-        self._ev_service = f"{name}.service"
         self._ev_r5w = f"{name}.r5w"
         self._ev_rebuild = f"{name}.rebuild"
         self._ev_commit = f"{name}.commit"
@@ -154,10 +175,6 @@ class DiskArray:
         usable_sectors = min(disk.geometry.total_sectors for disk in disks)
         self.layout = org.build_layout(len(disks), stripe_unit_sectors, usable_sectors)
         self.unit_bytes = stripe_unit_sectors * self.sector_bytes
-        #: The callback service machine serves write-through parity
-        #: organizations; mirrored organizations take the generator path
-        #: (their copy semantics never ran under the machine's golden gate).
-        self._callback_service = write_policy == "writethrough" and not org.mirrored
 
         self.drivers = [
             DiskDriver(sim, disk, FcfsScheduler(), name=f"{name}.be{index}")
@@ -362,17 +379,7 @@ class DiskArray:
             # (now, seq)), so same-instant dispatch order is unchanged;
             # each slot wait is a plain callback instead of a generator
             # frame suspension.
-            kick = Event.__new__(Event)
-            kick.sim = sim
-            kick.name = ""
-            kick.callbacks = [self._host_step_cb]
-            kick.defused = False
-            kick._value = None
-            kick._exception = None
-            kick._scheduled = True
-            kick._handled = False
-            sim._sequence += 1
-            sim._bucket.append(kick)
+            _schedule_now(sim, self._host_step_cb)
         return done
 
     def finalize(self) -> None:
@@ -398,14 +405,12 @@ class DiskArray:
     def _host_step(self, event: Event) -> None:
         """One host-pump step: dispatch on a granted slot, re-arm or park.
 
-        The loop ``while queue: yield acquire(); pop; spawn _service`` of
-        the old generator pump, unrolled into callbacks: a slot grant pops
-        the C-LOOK queue and spawns the service call, then the next
-        acquisition is armed at the same cascade position the generator
-        re-armed its yield.  Write-through arrays (the paper's §4.1
-        configuration) run the callback service machine; write-back keeps
-        the generator (its early-ack/background-flush split needs the
-        exception plumbing of a real process).
+        The loop ``while queue: yield acquire(); pop; spawn service`` of
+        a generator pump, unrolled into callbacks: a slot grant pops the
+        C-LOOK queue and starts a :class:`_ServiceCall` (the one service
+        pipeline, for every organization and write policy), then the next
+        acquisition is armed at the same cascade position a generator
+        would re-arm its yield.
         """
         if event is self._host_wait:
             self._host_wait = None
@@ -414,38 +419,35 @@ class DiskArray:
             while True:
                 (request, done), position = self._host_queue.pop(self._clook_position)
                 self._clook_position = position
-                if self._callback_service:
-                    if (
-                        request.plan is None
-                        and self._plan_dirty >= MIN_VECTOR_EXTENTS
-                        and self._host_queue
-                        and self._degraded_disk is None
-                        and not self._rebuilding
-                        and type(self.layout) is Raid5Layout
-                    ):
-                        # The driver holds a backlog: plan its geometry as
-                        # one batch (see repro.array.batchplan).
-                        plan_host_batch(self, request)
-                    if (
-                        not sim._bucket
-                        and (not sim._queue or sim._queue[0][0] > sim._now)
-                        and (
-                            not self._host_queue
-                            or slots._in_use >= slots.capacity
-                            or slots._waiters
-                        )
-                    ):
-                        # Quiet kernel and the re-arm below will not
-                        # schedule a grant (queue drained, or no slot
-                        # free): the service bootstrap kick would dispatch
-                        # immediately next, with anything the body itself
-                        # appends to the bucket keeping its relative order
-                        # — so run the body inline and elide the kick.
-                        _ServiceCall(self, request, done)._start(None)
-                    else:
-                        _ServiceCall(self, request, done).start()
+                if (
+                    request.plan is None
+                    and self._plan_dirty >= MIN_VECTOR_EXTENTS
+                    and self._host_queue
+                    and self._degraded_disk is None
+                    and not self._rebuilding
+                    and type(self.layout) is Raid5Layout
+                ):
+                    # The driver holds a backlog: plan its geometry as
+                    # one batch (see repro.array.batchplan).
+                    plan_host_batch(self, request)
+                if (
+                    not sim._bucket
+                    and (not sim._queue or sim._queue[0][0] > sim._now)
+                    and (
+                        not self._host_queue
+                        or slots._in_use >= slots.capacity
+                        or slots._waiters
+                    )
+                ):
+                    # Quiet kernel and the re-arm below will not
+                    # schedule a grant (queue drained, or no slot
+                    # free): the service bootstrap kick would dispatch
+                    # immediately next, with anything the body itself
+                    # appends to the bucket keeping its relative order
+                    # — so run the body inline and elide the kick.
+                    _ServiceCall(self, request, done)._start(None)
                 else:
-                    self.sim.process(self._service(request, done), name=self._ev_service)
+                    _ServiceCall(self, request, done).start()
                 if not self._host_queue:
                     self._host_pumping = False
                     return
@@ -470,8 +472,7 @@ class DiskArray:
                 self._host_wait = grant
                 return
         elif (
-            self._callback_service
-            and len(self._host_queue) == 1
+            len(self._host_queue) == 1
             and self._degraded_disk is None
             and not self._rebuilding
             and self.slots._in_use < self.slots.capacity
@@ -502,38 +503,6 @@ class DiskArray:
             self._host_wait = grant
         else:
             self._host_pumping = False
-
-    def _service(self, request: ArrayRequest, done: Event):
-        request.dispatch_time = self.sim.now
-        try:
-            if request.is_write and self.write_policy == "writeback":
-                # Completes `done` early (at NVRAM ack), then keeps the
-                # slot and detector accounting until the flush lands.
-                yield from self._service_write_writeback(request, done)
-            elif request.is_write:
-                yield from self._service_write(request)
-            else:
-                yield from self._service_read(request)
-        except BaseException as exc:
-            self.slots.release()
-            self.detector.activity_ended()
-            if done.triggered:
-                raise  # client already acked: the background flush failed
-            done.fail(exc)
-            return
-        self.slots.release()
-        self.detector.activity_ended()
-        if done.triggered:
-            return  # writeback: acked at NVRAM time
-        request.complete_time = self.sim.now
-        if request.is_write:
-            self.stats.writes_completed += 1
-        else:
-            self.stats.reads_completed += 1
-        self.stats.io_times.append(request.io_time)
-        if self.hists is not None or self.tracer is not None:
-            self._observe_client(request)
-        done.succeed(request)
 
     # -- degraded-mode state (used by repro.ext.rebuild) -----------------------------------------------
 
@@ -620,38 +589,6 @@ class DiskArray:
         self._degraded_disk = self._failed_disks[0] if self._failed_disks else None
 
     # -- reads ---------------------------------------------------------------------------------------
-
-    def _service_read(self, request: ArrayRequest):
-        if self.read_cache.lookup(request.offset_sectors, request.nsectors):
-            yield self.sim.timeout(self.cache_hit_latency_s)
-        else:
-            runs = self.layout.map_extent(request.offset_sectors, request.nsectors)
-            drivers = self.drivers
-            if self._degraded_disk is None:
-                # Fault-free fast path: the degraded-disk comparison and
-                # stats increment leave the per-run loop.
-                events = [
-                    drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                    for run in runs
-                ]
-                self.stats.foreground_data_reads += len(events)
-            else:
-                events = []
-                for run in runs:
-                    if run.disk in self._failed_disks:
-                        if self._mirrored:
-                            events.extend(self._submit_mirror_read(run))
-                        else:
-                            events.extend(self._submit_degraded_read(run))
-                    else:
-                        events.append(
-                            drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                        )
-                        self.stats.foreground_data_reads += 1
-            yield AllOf(self.sim, events)
-            self.read_cache.insert(request.offset_sectors, request.nsectors)
-        if self.functional is not None:
-            request.result_data = self.functional.read(request.offset_sectors, request.nsectors)
 
     def _submit_degraded_read(self, run: ExtentRun) -> list[Event]:
         """Reconstruct a run on the failed disk: read the same extent of
@@ -740,64 +677,10 @@ class DiskArray:
 
     # -- writes -----------------------------------------------------------------------------------------
 
-    def _service_write(self, request: ArrayRequest):
-        """Write-through: complete once the data (and any parity work the
-        mode requires) is on disk."""
-        nbytes = request.nsectors * self.sector_bytes
-        yield self.staging.reserve(nbytes)
-        try:
-            yield from self._perform_write(request)
-        finally:
-            self.staging.release(nbytes)
-        self.read_cache.insert(request.offset_sectors, request.nsectors)
-
-    def _service_write_writeback(self, request: ArrayRequest, done: Event):
-        """Write-back: ack at NVRAM speed, flush to disk in the background.
-
-        This is the single-copy-NVRAM configuration of §3.4: until the
-        flush lands, ``nbytes`` of client data exist only in the staging
-        NVRAM — `nvram_dirty_tracker` integrates that exposure so the
-        PrestoServe-style MDLR comparison can be computed from a run.
-        """
-        nbytes = request.nsectors * self.sector_bytes
-        yield self.staging.reserve(nbytes)
-        self._nvram_dirty_changed(+nbytes)
-        yield self.sim.timeout(self.nvram_ack_latency_s)
-        request.complete_time = self.sim.now
-        self.stats.writes_completed += 1
-        self.stats.io_times.append(request.io_time)
-        if self.hists is not None or self.tracer is not None:
-            self._observe_client(request)
-        done.succeed(request)
-        try:
-            yield from self._perform_write(request)
-        finally:
-            self.staging.release(nbytes)
-            self._nvram_dirty_changed(-nbytes)
-        self.read_cache.insert(request.offset_sectors, request.nsectors)
-
     def _nvram_dirty_changed(self, delta: int) -> None:
         self._nvram_dirty_bytes += delta
         if not self._finished:
             self.nvram_dirty_tracker.record(self.sim.now, self._nvram_dirty_bytes)
-
-    def _perform_write(self, request: ArrayRequest):
-        """The disk-side work of a write, independent of ack policy."""
-        runs_by_stripe = self._group_runs(request)
-        # Block while any target stripe's parity rebuild is in flight.
-        for stripe in list(runs_by_stripe):
-            while stripe in self._rebuilding:
-                yield self._rebuilding[stripe]
-        if self._mirrored:
-            yield from self._write_mirror(request, runs_by_stripe)
-        elif self._degraded_disk is not None:
-            yield from self._write_degraded(request, runs_by_stripe)
-        else:
-            mode = self.policy.write_mode(tuple(runs_by_stripe))
-            if mode is WriteMode.AFRAID:
-                yield from self._write_afraid(request, runs_by_stripe)
-            else:
-                yield from self._write_raid5(request, runs_by_stripe)
 
     def _group_runs(self, request: ArrayRequest) -> dict[int, list[ExtentRun]]:
         grouped: dict[int, list[ExtentRun]] = {}
@@ -818,46 +701,6 @@ class DiskArray:
             payload = self._zero_payloads[nbytes] = bytes(nbytes)
         return payload
 
-    def _write_afraid(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """The AFRAID write: mark first, then one data write per run."""
-        newly_marked = False
-        exposure = self.exposure
-        marks = self.marks
-        now = self.sim.now
-        if marks.bits_per_stripe == 1:
-            # The common configuration: one mark per stripe, so each run
-            # hits sub-unit 0 and the per-run span arithmetic is skipped.
-            for stripe, runs in runs_by_stripe.items():
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for _run in runs:
-                    newly_marked |= marks.mark(stripe, 0)
-        else:
-            for stripe, runs in runs_by_stripe.items():
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for run in runs:
-                    for sub_unit in self._sub_units_of(run):
-                        newly_marked |= marks.mark(stripe, sub_unit)
-        if newly_marked:
-            self._lag_changed()
-        events = []
-        drivers = self.drivers
-        submitted = 0
-        for runs in runs_by_stripe.values():
-            for run in runs:
-                events.append(
-                    drivers[run.disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                )
-                submitted += 1
-        self.stats.foreground_data_writes += submitted
-        yield AllOf(self.sim, events)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-        self.policy.on_stripes_marked()
-
     def _sub_units_of(self, run: ExtentRun) -> range:
         """The marking sub-units a run overlaps (always {0} with 1 bit).
 
@@ -877,91 +720,6 @@ class DiskArray:
         return sub_unit_extent(
             sub_unit, self.layout.stripe_unit_sectors, self.marks.bits_per_stripe
         )
-
-    def _write_raid5(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """RAID 5 semantics: parity leaves this write consistent."""
-        stripe_procs = [
-            self.sim.process(self._write_raid5_stripe(stripe, runs), name=self._ev_r5w)
-            for stripe, runs in runs_by_stripe.items()
-        ]
-        yield AllOf(self.sim, stripe_procs)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-            for stripe in runs_by_stripe:
-                self.functional.scrub_stripe(stripe)
-
-    def _write_raid5_stripe(self, stripe: int, runs: list[ExtentRun]):
-        unit_sectors = self.layout.stripe_unit_sectors
-        covered = sum(run.nsectors for run in runs)
-        full_stripe = covered == self.layout.stripe_data_sectors
-        parity = self.layout.parity_unit(stripe)
-        was_dirty = self.marks.is_marked(stripe)
-
-        if full_stripe:
-            # Large-write optimisation: parity computes from the new data
-            # alone; no pre-reads.
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-        elif was_dirty:
-            # Parity is stale: a read-modify-write would seal in garbage.
-            # Reconstruct instead: read the data units not fully overwritten,
-            # then write the new data and a freshly computed parity unit.
-            covered_units = {
-                run.unit_index for run in runs if run.nsectors == unit_sectors
-            }
-            reads = []
-            for unit in self.layout.data_units(stripe):
-                if unit.unit_index in covered_units:
-                    continue
-                reads.append(
-                    self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
-                )
-                self.stats.reconstruct_reads += 1
-            if reads:
-                yield AllOf(self.sim, reads)
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-        else:
-            # The classic small-update path (Figure 1): read old data and
-            # old parity, then write new data and new parity — all in the
-            # critical path of the client write.
-            lo = min(run.disk_lba - self._stripe_base_lba(run) for run in runs)
-            hi = max(run.disk_lba - self._stripe_base_lba(run) + run.nsectors for run in runs)
-            parity_lba = parity.disk_lba + lo
-            parity_span = hi - lo
-            reads = []
-            for run in runs:
-                reads.append(
-                    self.drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                )
-                self.stats.preread_ios += 1
-            reads.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.READ, parity_lba, parity_span))
-            )
-            self.stats.preread_ios += 1
-            yield AllOf(self.sim, reads)
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity_lba, parity_span))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-
-        if was_dirty:
-            self.marks.clear_stripe(stripe)
-            self._lag_changed()
-            if self.exposure is not None:
-                self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
 
     def _write_degraded(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
         """Writes while a member disk is missing.
@@ -1025,20 +783,22 @@ class DiskArray:
 
     # -- mirrored-organization writes ----------------------------------------------------
 
-    def _mark_runs(self, runs_by_stripe: dict[int, list[ExtentRun]]) -> None:
+    def _mark_runs(self, stripe_items: typing.Iterable[tuple[int, list[ExtentRun]]]) -> None:
         """Set the NVRAM marks a deferred (AFRAID-style) write requires."""
         newly_marked = False
         exposure = self.exposure
         marks = self.marks
         now = self.sim.now
         if marks.bits_per_stripe == 1:
-            for stripe, runs in runs_by_stripe.items():
+            # The common configuration: one mark per stripe, so each run
+            # hits sub-unit 0 and the per-run span arithmetic is skipped.
+            for stripe, runs in stripe_items:
                 if exposure is not None:
                     exposure.stripe_dirtied(stripe, now)
                 for _run in runs:
                     newly_marked |= marks.mark(stripe, 0)
         else:
-            for stripe, runs in runs_by_stripe.items():
+            for stripe, runs in stripe_items:
                 if exposure is not None:
                     exposure.stripe_dirtied(stripe, now)
                 for run in runs:
@@ -1073,7 +833,7 @@ class DiskArray:
         drivers = self.drivers
         if mode is WriteMode.AFRAID and not self._failed_disks:
             # Deferred copy: mark, write primaries only.
-            self._mark_runs(runs_by_stripe)
+            self._mark_runs(runs_by_stripe.items())
             events = []
             for runs in runs_by_stripe.values():
                 for run in runs:
@@ -1138,7 +898,7 @@ class DiskArray:
         unit_sectors = self.layout.stripe_unit_sectors
         if mode is WriteMode.AFRAID and not self._failed_disks:
             # Deferred parity: mark, write both copies of every data run.
-            self._mark_runs(runs_by_stripe)
+            self._mark_runs(runs_by_stripe.items())
             events = []
             for runs in runs_by_stripe.values():
                 for run in runs:
@@ -1698,18 +1458,7 @@ class _Barrier:
         self._hop(exc)
 
     def _hop(self, exc: BaseException | None) -> None:
-        sim = self.sim
-        hop = Event.__new__(Event)
-        hop.sim = sim
-        hop.name = ""
-        hop.callbacks = [self._fire]
-        hop.defused = False
-        hop._value = None
-        hop._exception = exc
-        hop._scheduled = True
-        hop._handled = False
-        sim._sequence += 1
-        sim._bucket.append(hop)
+        _schedule_now(self.sim, self._fire, exc)
 
     def _fire(self, hop: Event) -> None:
         self.handler(hop._exception)
@@ -1718,9 +1467,10 @@ class _Barrier:
 class _Tail:
     """Drive a generator to exhaustion with ``Process._resume`` hop semantics.
 
-    Lets the callback service machine delegate its cold paths (degraded
-    writes) to the existing generator implementations with an event
-    pattern identical to the old ``yield from``: the first ``send`` runs
+    Lets the service machine delegate the write paths that are not worth
+    unrolling — mirrored writes (``_write_mirror``) and degraded writes
+    (``_write_degraded``) — to generator implementations with the event
+    pattern of a ``yield from`` inside a process: the first ``send`` runs
     inline at the delegation point, each yielded event gets one callback
     at the position the process would have re-armed, an already-processed
     event resumes synchronously, and exhaustion calls ``on_done`` exactly
@@ -1770,13 +1520,17 @@ class _Tail:
 class _StripeWrite:
     """One RAID 5 stripe write as a callback machine.
 
-    Replaces the per-stripe ``_write_raid5_stripe`` process: ``event``
-    stands in for the process event (created at the same position, same
-    name, triggered with the same listener-aware shortcut on finish), and
-    the body runs at the bootstrap kick's dispatch — never at
-    construction — so every driver submission keeps its sequence number.
-    The statement bodies below are those of ``_write_raid5_stripe``
-    verbatim; each ``yield AllOf`` became ``callbacks.append``.
+    RAID 5 semantics: parity leaves the write consistent.  A full-stripe
+    write computes parity from the new data alone; a write to a stripe
+    with stale (marked) parity reconstructs it from the untouched data
+    units; any other write is the read-modify-write small update of the
+    paper's Figure 1.
+
+    ``event`` plays the part of a per-stripe process event (same name,
+    triggered with the same listener-aware shortcut on finish), and the
+    body runs at the bootstrap kick's dispatch — never at construction —
+    so every driver submission keeps its sequence number.  Each wait on
+    a set of disk I/Os is one :class:`_Barrier`.
     """
 
     __slots__ = ("array", "stripe", "runs", "event", "was_dirty", "parity", "span")
@@ -1800,17 +1554,7 @@ class _StripeWrite:
         if not sim._bucket and (not sim._queue or sim._queue[0][0] > sim._now):
             self._start(None)
             return
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._start]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        _schedule_now(sim, self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array
@@ -1826,6 +1570,8 @@ class _StripeWrite:
             self.was_dirty = array.marks.is_marked(stripe)
 
             if full_stripe:
+                # Large-write optimisation: parity computes from the new
+                # data alone; no pre-reads.
                 writes = array._submit_data_writes(runs)
                 writes.append(
                     array.drivers[parity.disk].submit(
@@ -1836,6 +1582,10 @@ class _StripeWrite:
                 self.span = None
                 _Barrier(array.sim, writes, self._writes_done)
             elif self.was_dirty:
+                # Parity is stale: a read-modify-write would seal in
+                # garbage.  Reconstruct instead: read the data units not
+                # fully overwritten, then write the new data and a freshly
+                # computed parity unit.
                 covered_units = {
                     run.unit_index for run in runs if run.nsectors == unit_sectors
                 }
@@ -1855,6 +1605,9 @@ class _StripeWrite:
                 else:
                     self._submit_writes()
             else:
+                # The classic small-update path (Figure 1): read old data
+                # and old parity, then write new data and new parity — all
+                # in the critical path of the client write.
                 lo = min(run.disk_lba - array._stripe_base_lba(run) for run in runs)
                 hi = max(run.disk_lba - array._stripe_base_lba(run) + run.nsectors for run in runs)
                 self.span = (parity.disk_lba + lo, hi - lo)
@@ -1947,19 +1700,28 @@ class _StripeWrite:
 
 
 class _ServiceCall:
-    """One client request through a write-through array, as callbacks.
+    """One client request through the array, as a callback machine.
 
-    The unrolled form of the ``_service`` process tree: same statement
-    bodies, with every ``yield`` replaced by one callback registration at
-    the identical cascade position (so all (time, seq) tie-breaks match
-    the generator, event for event).  The hot paths — reads, AFRAID and
-    RAID 5 writes — are inline; degraded-mode writes delegate to the
-    generator implementation through :class:`_Tail`.  Write-back arrays
-    do not use this class at all (see ``_host_step``).
+    The service pipeline for every organization and write policy.  Each
+    wait is one callback registration at the cascade position a process
+    ``yield`` would have used, so (time, seq) tie-breaks are those of a
+    generator-process service, event for event.
+
+    * Reads hit the read cache, or read every run; runs on a failed
+      member are reconstructed from parity or served by the mirror.
+    * Writes reserve staging space, wait out any parity rebuild on their
+      stripes, then take the write path the organization and policy pick:
+      AFRAID (mark, then write data) and RAID 5 (:class:`_StripeWrite`)
+      inline; mirrored and degraded writes through :class:`_Tail`.
+    * Write-back (§3.4 single-copy NVRAM) acknowledges the client once
+      the bytes are staged and counted NVRAM-dirty, then flushes.  A
+      flush that a member failure cuts short is re-issued once through
+      the degraded write path: the client already has its ack and the
+      bytes are still in NVRAM.
     """
 
     __slots__ = (
-        "array", "request", "done", "nbytes",
+        "array", "request", "done", "nbytes", "reissued",
         "stripe_items", "stripe_list", "stripe_index",
     )
 
@@ -1969,20 +1731,9 @@ class _ServiceCall:
         self.done = done
 
     def start(self) -> None:
-        """Arm the bootstrap kick; the body runs at its dispatch, exactly
-        where the process generator's first statements used to run."""
-        sim = self.array.sim
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._start]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        """Arm the bootstrap kick; the body runs at its dispatch, where a
+        service process's first statements would run."""
+        _schedule_now(self.array.sim, self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array
@@ -1996,7 +1747,7 @@ class _ServiceCall:
         except BaseException as exc:
             self._finish(exc)
 
-    # -- reads (the _service_read body) --------------------------------------
+    # -- reads ------------------------------------------------------------------
 
     def _start_read(self) -> None:
         array = self.array
@@ -2022,7 +1773,10 @@ class _ServiceCall:
             events = []
             for run in runs:
                 if run.disk in array._failed_disks:
-                    events.extend(array._submit_degraded_read(run))
+                    if array._mirrored:
+                        events.extend(array._submit_mirror_read(run))
+                    else:
+                        events.extend(array._submit_degraded_read(run))
                 else:
                     events.append(
                         drivers[run.disk].submit(
@@ -2062,7 +1816,7 @@ class _ServiceCall:
             return
         self._finish(None)
 
-    # -- writes (the _service_write / _perform_write bodies) ------------------
+    # -- writes -----------------------------------------------------------------
 
     def _start_write(self) -> None:
         array = self.array
@@ -2085,11 +1839,27 @@ class _ServiceCall:
             staging._in_use += amount
             self._staged(None)
             return
-        # reserve() failures propagate to _finish WITHOUT a release — the
-        # generator's try/finally starts after the reserve yield.
+        # reserve() failures propagate to _finish WITHOUT a release: no
+        # bytes were taken.
         staging.reserve(nbytes).callbacks.append(self._staged)
 
     def _staged(self, _grant: Event | None) -> None:
+        array = self.array
+        if array.write_policy == "writeback":
+            # The bytes exist only in the staging NVRAM until the flush
+            # lands: count them dirty, acknowledge after the NVRAM latency.
+            self.reissued = False
+            array._nvram_dirty_changed(self.nbytes)
+            array.sim.timeout(array.nvram_ack_latency_s).callbacks.append(self._acked)
+            return
+        self._flush()
+
+    def _acked(self, _timeout: Event) -> None:
+        self._complete()
+        self._flush()
+
+    def _flush(self) -> None:
+        """The disk-side work of the write, independent of ack policy."""
         array = self.array
         try:
             plan = self.request.plan
@@ -2115,8 +1885,8 @@ class _ServiceCall:
         while index < len(stripes):
             barrier = rebuilding.get(stripes[index])
             if barrier is not None:
-                # Re-check the same stripe after the barrier fires — the
-                # generator's `while stripe in rebuilding` does too.
+                # Re-check the same stripe after the barrier fires: a
+                # second rebuild may have started on it meanwhile.
                 self.stripe_index = index
                 barrier.callbacks.append(self._barrier_fired)
                 return True
@@ -2133,6 +1903,12 @@ class _ServiceCall:
 
     def _dispatch_mode(self) -> None:
         array = self.array
+        if array._mirrored:
+            _Tail(
+                array._write_mirror(self.request, dict(self.stripe_items)),
+                self._write_finish,
+            ).start()
+            return
         if array._degraded_disk is not None:
             _Tail(
                 array._write_degraded(self.request, dict(self.stripe_items)),
@@ -2148,32 +1924,18 @@ class _ServiceCall:
     def _write_afraid(self) -> None:
         array = self.array
         stripe_items = self.stripe_items
-        newly_marked = False
-        exposure = array.exposure
-        marks = array.marks
         plan = self.request.plan
-        if plan is not None and exposure is None:
+        if plan is not None and array.exposure is None:
             # Precomputed mark decisions: the same (stripe, sub_unit)
-            # sequence the loops below produce (see batchplan).
+            # sequence _mark_runs produces (see batchplan).
+            newly_marked = False
+            marks = array.marks
             for stripe, sub_unit in plan.mark_targets:
                 newly_marked |= marks.mark(stripe, sub_unit)
-        elif marks.bits_per_stripe == 1:
-            now = array.sim.now
-            for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for _run in runs:
-                    newly_marked |= marks.mark(stripe, 0)
+            if newly_marked:
+                array._lag_changed()
         else:
-            now = array.sim.now
-            for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for run in runs:
-                    for sub_unit in array._sub_units_of(run):
-                        newly_marked |= marks.mark(stripe, sub_unit)
-        if newly_marked:
-            array._lag_changed()
+            array._mark_runs(stripe_items)
         events = []
         append = events.append
         drivers = array.drivers
@@ -2244,7 +2006,17 @@ class _ServiceCall:
     def _write_finish(self, exc: BaseException | None) -> None:
         array = self.array
         request = self.request
+        writeback = array.write_policy == "writeback"
+        if writeback and isinstance(exc, DiskFailedError) and not self.reissued:
+            # A member died under the flush: the array is degraded now,
+            # so write the staged bytes again through the degraded path,
+            # keeping them reserved and NVRAM-dirty.
+            self.reissued = True
+            self._flush()
+            return
         array.staging.release(self.nbytes)
+        if writeback:
+            array._nvram_dirty_changed(-self.nbytes)
         if exc is None:
             try:
                 array.read_cache.insert(request.offset_sectors, request.nsectors)
@@ -2252,7 +2024,7 @@ class _ServiceCall:
                 exc = raised
         self._finish(exc)
 
-    # -- the _service epilogue ------------------------------------------------
+    # -- completion -------------------------------------------------------------
 
     def _finish(self, exc: BaseException | None) -> None:
         array = self.array
@@ -2260,10 +2032,23 @@ class _ServiceCall:
         array.detector.activity_ended()
         request = self.request
         request.plan = None
-        done = self.done
-        if exc is not None:
-            done.fail(exc)
+        if request.complete_time is not None:
+            # Write-back: the client was acknowledged at NVRAM time, so a
+            # flush that failed even after its re-issue has nobody to
+            # report to but the simulation run.
+            if exc is not None:
+                raise exc
             return
+        if exc is not None:
+            self.done.fail(exc)
+            return
+        self._complete()
+
+    def _complete(self) -> None:
+        """Stamp, count and deliver the client's completion."""
+        array = self.array
+        request = self.request
+        done = self.done
         now = array.sim._now
         request.complete_time = now
         stats = array.stats

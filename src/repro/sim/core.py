@@ -2,10 +2,11 @@
 
 Event-queue discipline
 ----------------------
-The kernel uses the bucket-calendar discipline of
-:class:`repro.sim.calendar.CalendarQueue`, embedded inline (the run loop
-is the hottest cycle in the tree, so the queue lives as two plain
-attributes rather than behind method calls):
+The kernel uses a one-bucket calendar discipline, kept inline: the run
+loop is the hottest cycle in the tree, so the queue lives as two plain
+attributes rather than behind method calls.
+``tests/sim/test_calendar_queue.py`` checks its dispatch order against a
+``(time, seq)`` heap oracle.  Two structures:
 
 * ``_bucket`` — a FIFO deque of events scheduled for the **current
   instant** (event cascades: completions triggering callbacks triggering

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.array import toy_array
+from repro.array.factory import build_array
 from repro.array.request import ArrayRequest
 from repro.disk import IoKind
-from repro.policy import AlwaysRaid5Policy
+from repro.faults.injector import FaultInjector
+from repro.harness.replay import replay_trace
+from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy
 from repro.sim import AllOf, Simulator
+from repro.traces import make_trace
 
 
 def write(offset, nsectors=4, data=None):
@@ -126,3 +130,45 @@ class TestInteractionWithModes:
         assert not array.detector.is_idle
         sim.run(until=sim.now + 2.0)
         assert array.detector.is_idle
+
+
+class TestFlushSurvivesMemberFailure:
+    """A member dying under an acknowledged write-back flush.
+
+    The client already has its ack and the bytes are still in NVRAM, so
+    the flush is re-issued through the degraded write path instead of
+    surfacing a bare DiskFailedError out of the replay.
+    """
+
+    @pytest.mark.parametrize(
+        "organization, ndisks, policy",
+        [
+            ("raid1", 2, AlwaysRaid5Policy),
+            ("raid5", 5, AlwaysRaid5Policy),
+            ("raid5d", 7, AlwaysRaid5Policy),
+            ("raid15", 6, AlwaysRaid5Policy),
+            ("raid15", 6, BaselineAfraidPolicy),
+            ("raid5d", 7, BaselineAfraidPolicy),
+        ],
+    )
+    def test_replay_completes_and_flushes_land(self, organization, ndisks, policy):
+        sim = Simulator()
+        array = build_array(
+            sim, policy(), ndisks=ndisks, organization=organization,
+            write_policy="writeback",
+        )
+        FaultInjector(sim, array).fail_disk_at(1, 5.0)
+        trace = make_trace(
+            "ATT", duration_s=30.0,
+            address_space_sectors=array.layout.total_data_sectors, seed=5,
+        )
+        outcome = replay_trace(sim, array, trace, finalize=False)
+        assert array.degraded_disk == 1
+        assert array.stats.writes_completed == sum(1 for r in trace if r.is_write)
+        # Only reads with I/O on the dying member can fail: writes were
+        # acknowledged from NVRAM before their flush started.
+        assert len(outcome.failures) + array.stats.completed == len(trace)
+        sim.run(until=sim.now + 30.0)
+        # Every staged byte was flushed and released exactly once.
+        assert array.staging._in_use == 0
+        assert array.nvram_dirty_tracker.current_lag_bytes == 0
