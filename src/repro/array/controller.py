@@ -34,34 +34,12 @@ from repro.layout.organization import ArrayOrganization, get_organization
 from repro.nvram import MarkMemory, sub_unit_extent, sub_units_overlapping
 from repro.policy import ParityPolicy, WriteMode
 from repro.sched import ClookScheduler, DiskDriver, FcfsScheduler
-from repro.sim import AllOf, Event, Resource, Simulator
+from repro.sim import AllOf, Event, Resource, Simulator, schedule_now
 from repro.sim.events import _PENDING
 
 if typing.TYPE_CHECKING:  # pragma: no cover - optional functional twin
     from repro.blocks import FunctionalArray
     from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, Tracer
-
-
-def _schedule_now(
-    sim: Simulator, callback, exception: BaseException | None = None
-) -> None:
-    """Schedule a pre-triggered event with one ``callback`` at (now, seq).
-
-    ``Event()`` plus ``succeed()``/``fail()`` fused: the host pump's
-    kick, every service bootstrap kick and every barrier hop is one of
-    these, so building the event in place is measurable at replay scale.
-    """
-    event = Event.__new__(Event)
-    event.sim = sim
-    event.name = ""
-    event.callbacks = [callback]
-    event.defused = False
-    event._value = None
-    event._exception = exception
-    event._scheduled = True
-    event._handled = False
-    sim._sequence += 1
-    sim._bucket.append(event)
 
 
 @dataclasses.dataclass
@@ -379,7 +357,7 @@ class DiskArray:
             # (now, seq)), so same-instant dispatch order is unchanged;
             # each slot wait is a plain callback instead of a generator
             # frame suspension.
-            _schedule_now(sim, self._host_step_cb)
+            schedule_now(sim, self._host_step_cb)
         return done
 
     def finalize(self) -> None:
@@ -1458,7 +1436,7 @@ class _Barrier:
         self._hop(exc)
 
     def _hop(self, exc: BaseException | None) -> None:
-        _schedule_now(self.sim, self._fire, exc)
+        schedule_now(self.sim, self._fire, exc)
 
     def _fire(self, hop: Event) -> None:
         self.handler(hop._exception)
@@ -1554,7 +1532,7 @@ class _StripeWrite:
         if not sim._bucket and (not sim._queue or sim._queue[0][0] > sim._now):
             self._start(None)
             return
-        _schedule_now(sim, self._start)
+        schedule_now(sim, self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array
@@ -1733,7 +1711,7 @@ class _ServiceCall:
     def start(self) -> None:
         """Arm the bootstrap kick; the body runs at its dispatch, where a
         service process's first statements would run."""
-        _schedule_now(self.array.sim, self._start)
+        schedule_now(self.array.sim, self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array

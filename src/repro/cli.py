@@ -749,13 +749,19 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.harness.sharding import run_sharded_replay
 
+    if args.shards < 1:
+        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
+    if args.shards > 1 and args.checkpoint_dir is None:
+        raise SystemExit(
+            "--shards only sets how many checkpoint cuts to keep; "
+            "pass --checkpoint-dir DIR to store them, or drop --shards"
+        )
     result, digest = run_sharded_replay(
         args.workload,
         policy=args.policy,
         duration_s=args.duration,
         seed=args.seed,
         shards=args.shards,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_max_bytes=args.checkpoint_max_bytes,
     )
@@ -1327,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_parser = commands.add_parser(
         "replay",
-        help="time-sliced (sharded) trace replay with deterministic handoff",
+        help="trace replay with optional checkpoint cuts for incremental re-runs",
     )
     replay_parser.add_argument("workload", choices=workload_names())
     replay_parser.add_argument(
@@ -1337,13 +1343,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("--seed", type=int, default=42)
     replay_parser.add_argument(
         "--shards", type=int, default=1,
-        help="number of consecutive time slices (results are byte-identical for any value)",
-    )
-    replay_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="run shard steps in a process pool of this size "
-        "(0 = in-process; default: min(shards, CPU count) when --shards > 1, "
-        "else in-process)",
+        help="slice the trace N ways and store a checkpoint cut at the first idle "
+        "arrival in each later slice, in the same single pass (needs --checkpoint-dir "
+        "when N > 1; results are byte-identical for any value)",
     )
     replay_parser.add_argument(
         "--digest", action="store_true",

@@ -1,14 +1,14 @@
 """Content-addressed on-disk store for replay checkpoints.
 
-A checkpoint is one of the quiescent-cut snapshots
-:mod:`repro.harness.sharding` already produces — the full simulator +
-array state at a cut, pickled — persisted so a later replay of the same
-cell can resume from the longest matching trace prefix instead of
-re-simulating from ``t=0``.  The final shard's :class:`ShardReplayResult`
-is stored too, as the last rung of the prefix ladder: a byte-identical
-re-run pays only the store lookup, a ``--duration`` extension resumes
-from the deepest cut inside the new trace, and everything else falls
-back to a cold replay.
+A checkpoint is one of the quiescent cuts
+:mod:`repro.harness.sharding` observes during a replay — the full
+simulator + array state at an idle arrival, pickled — persisted so a
+later replay of the same cell can resume from the longest matching trace
+prefix instead of re-simulating from ``t=0``.  The run's final
+:class:`ShardReplayResult` is stored too, as the last rung of the prefix
+ladder: a byte-identical re-run pays only the store lookup, a
+``--duration`` extension resumes from the deepest cut inside the new
+trace, and everything else falls back to a cold replay.
 
 Keying follows the same fingerprint discipline as
 :class:`repro.harness.runner.ResultCache`:
@@ -19,9 +19,10 @@ Keying follows the same fingerprint discipline as
   schema number, so any change to the simulator's code invalidates every
   checkpoint it wrote;
 * each **cut entry** additionally records the number of trace records
-  consumed and a digest of exactly those records, so a checkpoint is
-  only ever resumed into a trace whose prefix is bit-identical to the
-  one that produced it (this is what makes ``--duration`` extension
+  consumed and a digest of those records plus the next one (the cut
+  stands at that record's arrival instant), so a checkpoint is only ever
+  resumed into a trace whose prefix is bit-identical to the one that
+  produced it (this is what makes ``--duration`` extension
   safe: the synthetic generators emit identical prefixes for longer
   durations, and the digest proves it);
 * each **final entry** is additionally keyed on the full record count,
@@ -41,7 +42,6 @@ miss — the replay falls back to cold and rewrites it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -52,7 +52,6 @@ from repro import __version__ as _REPRO_VERSION
 from repro.harness.runner import code_fingerprint
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.sharding import ShardHandoff
     from repro.traces.records import TraceRecord
 
 #: Bump when the entry container format changes incompatibly.
@@ -122,16 +121,6 @@ def _prefix_digests(
         position = upto
         out[upto] = digest.copy().hexdigest()
     return out
-
-
-@dataclasses.dataclass
-class StoredCut:
-    """A cut entry revived from the store (mirrors ``ShardHandoff``)."""
-
-    payload: bytes
-    consumed: int
-    last_arrival_s: float
-    cut_time_s: float
 
 
 class CheckpointScope:
@@ -211,24 +200,24 @@ class CheckpointScope:
     # -- cuts --------------------------------------------------------------------
 
     def store_cut(
-        self, records: typing.Sequence["TraceRecord"], consumed: int, handoff: "ShardHandoff"
+        self, records: typing.Sequence["TraceRecord"], consumed: int, payload: bytes
     ) -> None:
-        """Persist the quiescent-cut snapshot taken after ``consumed`` records."""
+        """Persist the snapshot taken at record ``consumed``'s arrival, after
+        ``consumed`` records were submitted; keyed on ``records[:consumed + 1]``."""
         self._write(
             f"cut-{consumed:08d}.ckpt",
             {
                 "kind": "cut",
                 "consumed": consumed,
-                "prefix_sha": records_digest(records, consumed),
-                "last_arrival_s": handoff.last_arrival_s,
-                "cut_time_s": handoff.cut_time_s,
-                "payload_bytes": len(handoff.payload),
+                "prefix_sha": records_digest(records, consumed + 1),
+                "payload_bytes": len(payload),
             },
-            handoff.payload,
+            payload,
         )
 
-    def lookup_cut(self, records: typing.Sequence["TraceRecord"]) -> StoredCut | None:
-        """The deepest stored cut whose record prefix matches ``records``."""
+    def lookup_cut(self, records: typing.Sequence["TraceRecord"]) -> tuple[int, bytes] | None:
+        """``(consumed, payload)`` of the deepest stored cut whose record
+        prefix matches ``records``."""
         try:
             names = sorted(
                 name for name in os.listdir(self.path)
@@ -242,13 +231,13 @@ class CheckpointScope:
                 consumed = int(name[4:-5])
             except ValueError:
                 continue
-            # A cut at or past the end of this trace cannot seed a final
-            # shard (there would be no arrivals left to drive it).
+            # A cut stands at record ``consumed``'s arrival, so that record
+            # must exist in this trace.
             if 0 < consumed < len(records):
                 candidates.append((consumed, name))
         if not candidates:
             return None
-        digests = _prefix_digests(records, (consumed for consumed, _ in candidates))
+        digests = _prefix_digests(records, (consumed + 1 for consumed, _ in candidates))
         for consumed, name in sorted(candidates, reverse=True):
             entry = self._read(name)
             if entry is None:
@@ -257,14 +246,9 @@ class CheckpointScope:
             if header.get("kind") != "cut" or header.get("consumed") != consumed:
                 self._discard(os.path.join(self.path, name))
                 continue
-            if header.get("prefix_sha") != digests[consumed]:
+            if header.get("prefix_sha") != digests[consumed + 1]:
                 continue  # same scope, different trace content — not ours
-            return StoredCut(
-                payload=payload,
-                consumed=consumed,
-                last_arrival_s=header["last_arrival_s"],
-                cut_time_s=header["cut_time_s"],
-            )
+            return consumed, payload
         return None
 
     # -- final results -----------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.availability import (
     raid5_mttdl_catastrophic,
 )
 from repro.disk import hp_c3325
+from repro.harness import sharding
 from repro.harness.replay import replay_trace
 from repro.metrics import PerfCounters, Summary
 from repro.obs import ExposureMonitor, HistogramSet
@@ -183,16 +184,20 @@ def derive_availability(
     return mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall
 
 
-def _checkpoint_extras(sim, array) -> dict:
-    """Collected on the final shard of a checkpointed run: everything
-    ``run_experiment`` reads off the live array after ``replay_trace``
-    that is not already in the :class:`ShardReplayResult` counters."""
+#: Slices a checkpointed experiment is cut into (see
+#: :func:`repro.harness.sharding.replay_trace_sharded`): up to three
+#: quiescent cuts per cell for later runs to resume from.
+CHECKPOINT_SHARDS = 4
+
+
+def _result_extras(sim, array) -> dict:
+    """Everything ``run_experiment`` reads off the finished array that is
+    not already in the :class:`~repro.harness.sharding.ShardReplayResult`
+    counters; collected once the books are closed."""
     return {
         "dirty_at_end": array.dirty_stripe_count,
-        "latency_hists": array.hists.to_payload() if array.hists is not None else None,
-        "exposure_hists": (
-            array.exposure.hists.to_payload() if array.exposure is not None else None
-        ),
+        "latency_hists": array.hists.to_payload(),
+        "exposure_hists": array.exposure.hists.to_payload(),
     }
 
 
@@ -216,7 +221,6 @@ def run_experiment(
     exposure_window_s: float = 5.0,
     on_array: "typing.Callable[[Simulator, DiskArray], None] | None" = None,
     checkpoint_dir: str | None = None,
-    checkpoint_shards: int = 4,
 ) -> ExperimentResult:
     """Run one (workload, policy) experiment from a clean simulator.
 
@@ -241,27 +245,33 @@ def run_experiment(
 
     ``checkpoint_dir`` names an on-disk
     :class:`~repro.harness.checkpoint.CheckpointStore`: the replay runs
-    through :func:`~repro.harness.sharding.replay_trace_sharded` (in
-    ``checkpoint_shards`` slices), resumes from the deepest stored
-    quiescent cut matching this cell, and a byte-identical re-run
-    returns the stored result without simulating at all.  The result is
-    bit-identical to the direct path.  Checkpointing is only taken when
-    no live observer is attached (``tracer``/``registry``/``on_array``
-    and caller-owned ``histograms``/``exposure`` must all be ``None``) —
-    the replay then crosses pickle boundaries, so in-place mutation of
-    caller objects cannot be honoured; those runs silently fall back to
-    the direct path.
+    through :func:`~repro.harness.sharding.replay_trace_sharded`, which
+    stores up to ``CHECKPOINT_SHARDS - 1`` quiescent cuts as it passes
+    them, resumes from the deepest stored cut matching this cell, and
+    returns the stored result of a byte-identical earlier run without
+    simulating at all.  The result equals the direct path's.  A resumed
+    or stored run does not simulate in the caller's objects, so
+    ``checkpoint_dir`` cannot be combined with a live observer:
+    ``tracer``, ``registry``, ``on_array``, ``histograms`` or ``exposure``
+    together with it raise :class:`ValueError` naming the argument.
     """
+    if checkpoint_dir is not None:
+        observers = {
+            "tracer": tracer,
+            "registry": registry,
+            "on_array": on_array,
+            "histograms": histograms,
+            "exposure": exposure,
+        }
+        for name, value in observers.items():
+            if value is not None:
+                raise ValueError(
+                    f"run_experiment: {name}= cannot be combined with checkpoint_dir=; "
+                    f"a checkpointed run may resume from a stored cut or result, so "
+                    f"the {name} would observe nothing — drop one of the two"
+                )
     if counters is None:
         counters = PerfCounters()  # throwaway: keeps the body branch-free
-    checkpointable = (
-        checkpoint_dir is not None
-        and tracer is None
-        and registry is None
-        and on_array is None
-        and histograms is None
-        and exposure is None
-    )
     if histograms is None:
         histograms = HistogramSet()
     if exposure is None:
@@ -295,9 +305,8 @@ def run_experiment(
                 address_space_sectors=array.layout.total_data_sectors,
                 seed=seed,
             )
-    if checkpointable:
+    if checkpoint_dir is not None:
         from repro.harness.checkpoint import CheckpointStore
-        from repro.harness.sharding import replay_trace_sharded
 
         scope = CheckpointStore(checkpoint_dir).scope(
             {
@@ -317,102 +326,61 @@ def run_experiment(
             }
         )
         with counters.phase("replay"):
-            sharded = replay_trace_sharded(
+            replayed = sharding.replay_trace_sharded(
                 sim,
                 array,
                 trace,
-                shards=checkpoint_shards,
+                shards=CHECKPOINT_SHARDS,
                 extra_settle_s=extra_settle_s,
                 checkpoint=scope,
-                extras_fn=_checkpoint_extras,
+                extras_fn=_result_extras,
             )
-        counters.count("events_dispatched", sharded.events_simulated)
-        counters.count(
-            "ios_serviced", sharded.stats.reads_completed + sharded.stats.writes_completed
-        )
-        outcome = sharded.outcome
-        if outcome.failures:
-            raise RuntimeError(
-                f"{len(outcome.failures)} requests failed during a fault-free run: "
-                f"{outcome.failures[0]!r}"
-            )
-        unprotected, mean_lag, peak_lag, _total = sharded.parity_lag
-        extras = sharded.extras or {}
-        with counters.phase("reduce"):
-            mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall = (
-                derive_availability(
-                    ndisks=ndisks,
-                    unprotected_fraction=unprotected,
-                    mean_parity_lag_bytes=mean_lag,
-                    params=params,
-                    organization=organization,
-                )
-            )
-        return ExperimentResult(
-            workload=trace.name,
-            policy=policy.describe(),
-            ndisks=ndisks,
-            nrequests=len(outcome.requests),
-            reads=sharded.stats.reads_completed,
-            writes=sharded.stats.writes_completed,
-            io_time=Summary.of(outcome.io_times),
-            horizon_s=outcome.horizon_s,
-            stripes_scrubbed=sharded.stats.stripes_scrubbed,
-            dirty_at_end=extras.get("dirty_at_end", 0),
-            unprotected_fraction=unprotected,
-            mean_parity_lag_bytes=mean_lag,
-            peak_parity_lag_bytes=peak_lag,
-            params=params,
-            mttdl_disk_h=mttdl_disk,
-            mdlr_unprotected_bytes_per_h=mdlr_unprot,
-            mdlr_disk_bytes_per_h=mdlr_disk,
-            mttdl_overall_h=mttdl_overall,
-            mdlr_overall_bytes_per_h=mdlr_overall,
-            latency_hists=extras.get("latency_hists"),
-            exposure_hists=extras.get("exposure_hists"),
-            organization=organization,
-        )
-
-    with counters.phase("replay"):
-        outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
-    counters.count("events_dispatched", sim.events_dispatched)
-    counters.count("ios_serviced", array.stats.reads_completed + array.stats.writes_completed)
+    else:
+        with counters.phase("replay"):
+            outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
+        replayed = sharding.ShardReplayResult.from_array(array, outcome)
+        replayed.events_simulated = sim.events_dispatched
+        replayed.extras = _result_extras(sim, array)
+    stats = replayed.stats
+    outcome = replayed.outcome
+    counters.count("events_dispatched", replayed.events_simulated)
+    counters.count("ios_serviced", stats.reads_completed + stats.writes_completed)
     if outcome.failures:
         raise RuntimeError(
             f"{len(outcome.failures)} requests failed during a fault-free run: "
             f"{outcome.failures[0]!r}"
         )
 
-    tracker = array.lag_tracker
+    unprotected, mean_lag, peak_lag, _total = replayed.parity_lag
     with counters.phase("reduce"):
         mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall = derive_availability(
-            ndisks=array.ndisks,
-            unprotected_fraction=tracker.unprotected_fraction,
-            mean_parity_lag_bytes=tracker.mean_parity_lag_bytes,
+            ndisks=ndisks,
+            unprotected_fraction=unprotected,
+            mean_parity_lag_bytes=mean_lag,
             params=params,
             organization=organization,
         )
     return ExperimentResult(
         workload=trace.name,
         policy=policy.describe(),
-        ndisks=array.ndisks,
+        ndisks=ndisks,
         nrequests=len(outcome.requests),
-        reads=array.stats.reads_completed,
-        writes=array.stats.writes_completed,
+        reads=stats.reads_completed,
+        writes=stats.writes_completed,
         io_time=Summary.of(outcome.io_times),
         horizon_s=outcome.horizon_s,
-        stripes_scrubbed=array.stats.stripes_scrubbed,
-        dirty_at_end=array.dirty_stripe_count,
-        unprotected_fraction=tracker.unprotected_fraction,
-        mean_parity_lag_bytes=tracker.mean_parity_lag_bytes,
-        peak_parity_lag_bytes=tracker.peak_parity_lag_bytes,
+        stripes_scrubbed=stats.stripes_scrubbed,
+        dirty_at_end=replayed.extras["dirty_at_end"],
+        unprotected_fraction=unprotected,
+        mean_parity_lag_bytes=mean_lag,
+        peak_parity_lag_bytes=peak_lag,
         params=params,
         mttdl_disk_h=mttdl_disk,
         mdlr_unprotected_bytes_per_h=mdlr_unprot,
         mdlr_disk_bytes_per_h=mdlr_disk,
         mttdl_overall_h=mttdl_overall,
         mdlr_overall_bytes_per_h=mdlr_overall,
-        latency_hists=histograms.to_payload(),
-        exposure_hists=exposure.hists.to_payload(),
+        latency_hists=replayed.extras["latency_hists"],
+        exposure_hists=replayed.extras["exposure_hists"],
         organization=organization,
     )

@@ -7,13 +7,15 @@ up as queueing delay under bursts — the effect the paper measures.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
+import math
 
 from repro.array.batchplan import warm_extent_cache
 from repro.array.controller import DiskArray
 from repro.array.request import ArrayRequest
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, schedule_now
 from repro.traces.records import Trace
 
 
@@ -70,39 +72,47 @@ class _Feeder:
     against in-flight completions — is unchanged), and a listener-free
     finish that never schedules an event (matching the process-finish
     elision in ``Process._resume``).
+
+    Checkpoint cuts (:mod:`repro.harness.sharding`) are observed here:
+    once ``index`` reaches ``cut_at``, the first arrival wake that finds
+    nothing else pending — heap and bucket both empty — pauses the feed
+    before submitting its record.  A pause completes ``done`` just like
+    the finish; ``index < len(records)`` tells the two apart, and
+    :meth:`start` resumes the feed at the same instant.
     """
 
     __slots__ = (
-        "sim", "array", "records", "index", "requests", "completions", "done", "_fire_cb",
+        "sim", "array", "records", "index", "requests", "completions", "done", "cut_at",
+        "_fire_cb",
     )
 
-    def __init__(self, sim, array, records, requests, completions) -> None:
+    def __init__(self, sim, array, records, requests, completions, index: int = 0) -> None:
         self.sim = sim
         #: Bound once: appended to every inter-arrival timeout.
         self._fire_cb = self._fire
         self.array = array
         self.records = records
-        self.index = 0
+        self.index = index
         self.requests = requests
         self.completions = completions
-        #: Triggers when the last record has been submitted.  Completed by
-        #: hand exactly the way a listener-free process finishes: value
-        #: set, callbacks cleared, nothing scheduled.
-        self.done = Event(sim, name="trace_feeder")
+        #: Record index from which a quiescent arrival pauses the feed.
+        self.cut_at = math.inf
+        #: Triggers when the last record has been submitted (or the feed
+        #: pauses at a cut).  Completed by hand exactly the way a
+        #: listener-free process finishes: value set, callbacks cleared,
+        #: nothing scheduled.
+        self.done: Event | None = None
 
     def start(self) -> Event:
-        sim = self.sim
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._fire_cb]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        """Fire at the current instant; returns the event ending this leg.
+
+        The bootstrap kick of a fresh replay, and equally the re-arm of a
+        feed paused at a cut or restored from one: a single pre-triggered
+        event, so the resumed sequence numbers stay in step with each
+        other.
+        """
+        self.done = Event(self.sim, name="trace_feeder")
+        schedule_now(self.sim, self._fire_cb)
         return self.done
 
     def _fire(self, _event: Event) -> None:
@@ -113,6 +123,11 @@ class _Feeder:
         completions = self.completions
         index = self.index
         total = len(records)
+        if index >= self.cut_at and not sim._queue and not sim._bucket:
+            done = self.done
+            done._value = None
+            done.callbacks = None
+            return
         while index < total:
             record = records[index]
             if record.time_s > sim._now:
@@ -168,6 +183,44 @@ class ReplayOutcome:
         return [request.io_time for request in self.completed]
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Suspend cyclic GC for a bounded replay burst.
+
+    A replay allocates hundreds of thousands of short-lived events that
+    die by refcount, while everything the young-generation scans keep
+    walking (requests, completions, the array graph — cyclic through the
+    cached bound-method callbacks) stays reachable until the outcome is
+    built, so mid-run collections cost double-digit time and free nothing.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
+def settle(
+    sim: Simulator,
+    requests: list[ArrayRequest],
+    completions: list[Event],
+    duration_s: float,
+    extra_settle_s: float,
+) -> ReplayOutcome:
+    """Wait out every submitted request, then run to the measurement horizon.
+
+    The horizon is ``max(duration_s, last completion) + extra_settle_s``.
+    """
+    outcomes = sim.run_until_triggered(gather(sim, completions))
+    failures = [value for ok, value in outcomes if not ok]
+    horizon = max(duration_s, sim.now) + extra_settle_s
+    sim.run(until=horizon)
+    return ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
+
+
 def replay_trace(
     sim: Simulator,
     array: DiskArray,
@@ -189,26 +242,10 @@ def replay_trace(
     # The whole arrival schedule is known before the clock starts: batch-map
     # its geometry once (vectorised) so per-request map_extent is a probe.
     warm_extent_cache(array.layout, records)
-    # Pause cyclic GC for the bounded duration of the run: a replay
-    # allocates hundreds of thousands of short-lived events that die by
-    # refcount, while everything the young-generation scans keep walking
-    # (requests, completions, the array graph — cyclic through the cached
-    # bound-method callbacks) stays reachable until the outcome is built,
-    # so mid-run collections cost double-digit time and free nothing.
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        feeder_done = _Feeder(sim, array, records, requests, completions).start()
-        sim.run_until_triggered(feeder_done)
-        outcomes = sim.run_until_triggered(gather(sim, completions))
-        failures = [value for ok, value in outcomes if not ok]
-
-        horizon = max(trace.duration_s, sim.now) + extra_settle_s
-        sim.run(until=horizon)
-    finally:
-        if paused:
-            gc.enable()
+    with gc_paused():
+        feeder = _Feeder(sim, array, records, requests, completions)
+        sim.run_until_triggered(feeder.start())
+        outcome = settle(sim, requests, completions, trace.duration_s, extra_settle_s)
     if finalize:
         array.finalize()
-    return ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
+    return outcome

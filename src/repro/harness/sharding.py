@@ -1,66 +1,69 @@
-"""Time-sliced trace replay with deterministic shard handoff.
+"""Checkpointed trace replay: cuts observed by a single pass.
 
-A long trace is replayed as consecutive time slices ("shards"); the
-complete simulation state at each slice boundary — disk head positions,
-NVRAM mark memory, parity-lag integrals, caches, the event kernel itself
-— is serialised and handed to the next shard, which resumes bit-exactly
-where the previous one stopped.  The handoff payload is a pickle, so a
-shard can run in a different worker process than its predecessor
-(``submit`` below plugs into the sweep pool of :mod:`repro.harness.runner`).
+A long trace is replayed once, front to back, exactly as
+:func:`repro.harness.replay.replay_trace` does; along the way the
+replay takes up to ``shards - 1`` **cuts** — the complete simulation
+state (disk head positions, NVRAM mark memory, parity-lag integrals,
+caches, the event kernel itself) pickled into a
+:class:`~repro.harness.checkpoint.CheckpointScope` — and carries on.  A
+later replay of the same cell resumes from the deepest stored cut whose
+trace prefix matches, or returns the stored final result outright.
 
-Correctness contract: the sharded replay is **byte-identical** to
-:func:`repro.harness.replay.replay_trace` on the same inputs, for any
-shard count.  Three properties make that hold:
+Cut rule: a cut is taken when the feeder's arrival timer for record
+``k`` fires and nothing else is pending (heap and bucket both empty), at
+the first such ``k`` at or after each slice index (the first record at or
+after ``i * duration / shards``).  That is an idle gap — the same gap
+AFRAID scrubs deferred parity in — which the direct replay passes through
+anyway, so a cut costs a pickle and no simulation.  A trace with no such
+gap takes no cut.
 
-* **Quiescent cuts.**  A shard may only end when the simulator is
-  completely empty — no heap entries, no current-instant bucket — and
-  strictly before the next shard's first effective arrival.  Everything
-  the drain dispatched (completions, idle declarations, scrub passes) is
-  exactly what the unsharded run would have dispatched before that
-  arrival, in the same order.  If the drain overruns the next arrival
-  (e.g. the ATT trace's scarce idle windows), the cut is invalid and the
-  slice is *extended* — in the limit a trace with no usable gap
-  degenerates to one shard, which is trivially identical.
-* **Arrival-chain replication.**  The open-loop feeder realises record
-  ``k`` at ``A_k = A_{k-1} + (t_k - A_{k-1})`` — floating-point addition
-  is not associative, so a resumed shard must not recompute the arrival
-  from its own restore time.  The handoff carries ``last_arrival_s`` and
-  the resumed feeder's first timer is scheduled at that exact chained
-  instant (and with the same sequence-number budget: one timer, no
-  bootstrap kick), so every later ``(time, seq)`` tie-break is unchanged.
+Correctness contract: the result is **byte-identical** (see
+:func:`replay_digest`) to ``replay_trace`` on the same inputs, for any
+shard count and any store state.  Three properties make that hold:
+
+* **Quiescent cuts.**  At a cut the only thing the simulation still
+  owes is record ``k``'s arrival, now.  The feed pauses before
+  submitting it and is re-armed with one pre-triggered event at the same
+  instant (:meth:`repro.harness.replay._Feeder.start`), whether the run
+  continues in place or resumes from the store, so both see the same
+  ``(time, seq)`` order from the cut on.  The kick costs one sequence
+  number, so a run dispatches one more event per cut than the direct
+  replay; the order of everything dispatched is unchanged.
+* **Prefix keying.**  The cut stands at record ``k``'s arrival instant,
+  so the store keys it on records ``0..k`` inclusive; it is only ever
+  resumed into a trace whose prefix is bit-identical up to and including
+  that record.
 * **Snapshot fidelity.**  The pickle round-trip preserves value state
   bit-for-bit (floats, dict/deque order, the pending-value sentinel —
   see ``_PendingType.__reduce__`` in :mod:`repro.sim.events`).  At a
   quiescent cut no generator frames are live, so the graph contains no
   unpicklable objects.
 
-Sharding assumes a healthy run (no fault injection mid-trace) and no
-attached observability sinks holding OS handles; ``replay_digest``
-fingerprints the observable results for N-vs-1 determinism checks.
+Without a store there is nowhere to keep a cut, so none is taken and
+the run is the direct replay.  Checkpointing assumes a healthy run (no
+fault injection mid-trace) and no attached observability sinks holding
+OS handles.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import gc
 import hashlib
-import os
+import math
 import pickle
 import struct
 import typing
-from heapq import heappush as _heappush
 
 from repro.array.controller import DiskArray
 from repro.array.batchplan import warm_extent_cache
-from repro.harness.replay import ReplayOutcome, _Feeder, gather
-from repro.sim import Event, Simulator
+from repro.harness.replay import ReplayOutcome, _Feeder, gc_paused, settle
+from repro.sim import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.checkpoint import CheckpointScope
     from repro.traces import Trace
 
-#: Pickle protocol for every shard handoff and checkpoint payload.
+#: Pickle protocol for every checkpoint payload.
 #: Pinned explicitly (not ``HIGHEST_PROTOCOL``) so payloads written by
 #: one Python version are readable by another, and so the checkpoint
 #: store can name the exact protocol it expects when rejecting entries
@@ -72,10 +75,10 @@ PICKLE_PROTOCOL = 5
 class ShardReplayResult:
     """Everything a sharded replay reports, as plain picklable values.
 
-    The final shard may stop at the measurement horizon with background
+    The run may stop at the measurement horizon with background
     machinery (the scrub generator) suspended mid-flight, so the live
-    simulator cannot cross the process boundary back to the caller —
-    the counters, latency stream, and parity-lag integrals can.
+    simulator cannot be stored as a final result — the counters, latency
+    stream, and parity-lag integrals can.
     """
 
     outcome: ReplayOutcome
@@ -83,10 +86,10 @@ class ShardReplayResult:
     disk_stats: list  # repro.disk.disk.DiskStats per member, in order
     #: (unprotected_fraction, mean_lag_bytes, peak_lag_bytes, total_time)
     parity_lag: tuple[float, float, float, float]
-    #: Events dispatched by *this* run (not the whole simulated history):
-    #: a checkpoint-resumed replay reports only its delta, and a full
-    #: store hit reports 0.  Excluded from :func:`replay_digest` — it
-    #: describes the run, not the simulated results.
+    #: Every event *this* run dispatched (not the whole simulated
+    #: history): a checkpoint-resumed replay reports only its delta, and
+    #: a full store hit reports 0.  Excluded from :func:`replay_digest` —
+    #: it describes the run, not the simulated results.
     events_simulated: int = 0
     #: Extra per-run values collected by ``finish_shard``'s ``extras_fn``
     #: (e.g. histogram payloads for :func:`repro.harness.experiment`).
@@ -108,171 +111,61 @@ class ShardReplayResult:
         )
 
 
-@dataclasses.dataclass
-class ShardHandoff:
-    """Boundary state between consecutive shards."""
-
-    #: Pickle of ``(sim, array, requests, completions)`` at quiescence.
-    payload: bytes
-    #: Records consumed from the slice this shard was given (≥ the
-    #: tentative count when an invalid cut forced an extension).
-    consumed: int
-    #: Effective arrival instant of the last submitted record (the
-    #: feeder's float chain value, not the nominal record timestamp).
-    last_arrival_s: float
-    #: Simulated time at the quiescent cut.
-    cut_time_s: float
-    #: Events this shard step dispatched, extension retries included.
-    events: int = 0
+def _slice_starts(records: list, duration_s: float, shards: int) -> list[int]:
+    """The first record index at or after each of the ``shards - 1`` slice
+    boundaries, excluding the trace's two ends, ascending and distinct."""
+    starts: set[int] = set()
+    total = len(records)
+    index = 0
+    for i in range(1, shards):
+        t = duration_s * i / shards
+        while index < total and records[index].time_s < t:
+            index += 1
+        if 0 < index < total:
+            starts.add(index)
+    return sorted(starts)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend cyclic GC for a bounded replay burst (see replay_trace)."""
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if paused:
-            gc.enable()
+def advance_shard(sim: Simulator, array: DiskArray, feeder: _Feeder, cut_at: float) -> bytes | None:
+    """Run to the next cut: the first quiescent arrival at or after record ``cut_at``.
 
-
-def _snapshot(sim, array, requests, completions) -> bytes:
+    Returns the pickled ``(sim, array, requests, completions)`` there —
+    the feed stands paused before record ``feeder.index`` — or ``None``
+    when the feed ended first (always so for ``cut_at=math.inf``).
+    Either way the run itself continues with the next call.
+    """
+    feeder.cut_at = cut_at
+    sim.run_until_triggered(feeder.start())
+    if feeder.index == len(feeder.records):
+        return None
     return pickle.dumps(
-        (sim, array, requests, completions), protocol=PICKLE_PROTOCOL
+        (sim, array, feeder.requests, feeder.completions), protocol=PICKLE_PROTOCOL
     )
 
 
-def _arm_feeder(sim, array, records, requests, completions, first_shard, last_arrival_s):
-    """Start the slice's feeder; returns its done event.
-
-    The first shard boots exactly like :func:`replay_trace` (bootstrap
-    kick, one sequence number).  A resumed shard instead schedules the
-    inter-arrival timer the unsharded feeder would have armed at the
-    previous record's wake: same chained fire time, same single sequence
-    number, no kick.
-    """
-    warm_extent_cache(array.layout, records)
-    feeder = _Feeder(sim, array, records, requests, completions)
-    if first_shard:
-        return feeder.start()
-    target = last_arrival_s + (records[0].time_s - last_arrival_s)
-    timer = Event.__new__(Event)
-    timer.sim = sim
-    timer.name = ""
-    timer.callbacks = [feeder._fire]
-    timer.defused = False
-    timer._value = None
-    timer._exception = None
-    timer._scheduled = True
-    timer._handled = False
-    sim._sequence += 1
-    if target > sim._now:
-        _heappush(sim._queue, (target, sim._sequence, timer))
-    else:
-        sim._bucket.append(timer)
-    return feeder.done
-
-
-def advance_shard(
-    payload: bytes,
-    remaining: list,
-    tentative: int,
-    first_shard: bool,
-    last_arrival_s: float,
-) -> ShardHandoff | None:
-    """Replay a prefix of ``remaining`` records and cut at quiescence.
-
-    ``tentative`` is the requested slice length; the actual cut extends
-    past it whenever draining to quiescence would overrun the next
-    arrival (the validity condition above).  Runs from — and, on an
-    invalid cut, retries from — the ``payload`` snapshot, so the final
-    attempt is the only one that leaves a trace in the returned state.
-
-    Returns ``None`` when the extension consumes every remaining record
-    without finding a valid cut — i.e. from this start there is no
-    quiescent gap at all.  The caller must then fold the whole tail into
-    the final shard: a cut may only land *between* arrivals, never past
-    the trace's end, because the closing flow (:func:`finish_shard`)
-    clamps at the measurement horizon whereas a quiescence drain would
-    run trailing background work (the AFRAID scrub) to exhaustion —
-    beyond what the horizon admits.
-    """
-    total = len(remaining)
-    stop = tentative
-    if stop >= total:
-        return None
-    events = 0
-    with _gc_paused():
-        while True:
-            sim, array, requests, completions = pickle.loads(payload)
-            base = sim.events_dispatched
-            done = _arm_feeder(
-                sim, array, remaining[:stop], requests, completions, first_shard, last_arrival_s
-            )
-            sim.run_until_triggered(done)
-            arrival = sim._now
-            sim.run()  # drain to complete quiescence
-            events += sim.events_dispatched - base
-            target = arrival + (remaining[stop].time_s - arrival)
-            if sim._now < target:
-                return ShardHandoff(
-                    _snapshot(sim, array, requests, completions), stop, arrival, sim._now,
-                    events,
-                )
-            # The tail (idle declaration, scrub pass) ran past the next
-            # arrival: the unsharded run would have interleaved them.  Extend
-            # the slice beyond everything the drain overlapped and retry.
-            extended = stop + 1
-            while extended < total and remaining[extended].time_s <= sim._now:
-                extended += 1
-            if extended >= total:
-                return None
-            stop = extended
-
-
 def finish_shard(
-    payload: bytes,
-    remaining: list,
-    first_shard: bool,
-    last_arrival_s: float,
+    sim: Simulator,
+    array: DiskArray,
+    feeder: _Feeder,
     duration_s: float,
     extra_settle_s: float,
     finalize: bool,
     extras_fn: typing.Callable[..., dict] | None = None,
-) -> bytes:
-    """Replay the final slice and close the books like ``replay_trace``.
+) -> ShardReplayResult:
+    """Close the books like ``replay_trace`` once the feed has ended.
 
-    ``extras_fn(sim, array)`` — a module-level (picklable) callable —
-    runs after finalisation and its return value lands in
-    ``ShardReplayResult.extras``; callers that need more than the
-    counters (histogram payloads, end-state gauges) collect them here,
-    on whichever side of the process boundary the final shard ran.
-
-    Returns a pickle of the :class:`ShardReplayResult`.
+    ``extras_fn(sim, array)`` runs after finalisation and its return
+    value lands in ``ShardReplayResult.extras``; callers that need more
+    than the counters (histogram payloads, end-state gauges) collect them
+    here.  ``events_simulated`` is left for the caller to fill in.
     """
-    sim, array, requests, completions = pickle.loads(payload)
-    base = sim.events_dispatched
-    with _gc_paused():
-        if remaining:
-            done = _arm_feeder(
-                sim, array, remaining, requests, completions, first_shard, last_arrival_s
-            )
-            sim.run_until_triggered(done)
-        outcomes = sim.run_until_triggered(gather(sim, completions))
-        failures = [value for ok, value in outcomes if not ok]
-        horizon = max(duration_s, sim.now) + extra_settle_s
-        sim.run(until=horizon)
+    outcome = settle(sim, feeder.requests, feeder.completions, duration_s, extra_settle_s)
     if finalize:
         array.finalize()
-    outcome = ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
     result = ShardReplayResult.from_array(array, outcome)
-    result.events_simulated = sim.events_dispatched - base
     if extras_fn is not None:
         result.extras = extras_fn(sim, array)
-    return pickle.dumps(result, protocol=PICKLE_PROTOCOL)
+    return result
 
 
 def replay_trace_sharded(
@@ -282,38 +175,27 @@ def replay_trace_sharded(
     shards: int = 1,
     extra_settle_s: float = 0.0,
     finalize: bool = True,
-    submit: typing.Callable[..., typing.Any] | None = None,
     checkpoint: "CheckpointScope | None" = None,
     extras_fn: typing.Callable[..., dict] | None = None,
 ) -> ShardReplayResult:
-    """Replay ``trace`` in ``shards`` consecutive time slices.
+    """Replay ``trace`` once, taking up to ``shards - 1`` checkpoint cuts.
 
     ``sim``/``array`` must be freshly built (nothing scheduled, nothing
-    submitted).  ``submit(fn, *args)`` runs one shard step and returns its
-    result — pass a pool adapter (e.g. ``lambda fn, *a:
-    pool.submit(fn, *a).result()``) to execute each shard in a worker
-    process; the default runs in-process.  Either way the handoff is the
-    same pickled payload, so the in-process mode exercises (and proves)
-    snapshot fidelity too.
-
-    ``checkpoint`` — a :class:`repro.harness.checkpoint.CheckpointScope`
-    — turns the replay incremental: the run resumes from the deepest
-    stored quiescent cut whose record prefix matches this trace, every
-    new cut (and the final result) is persisted as it is produced, and a
-    byte-identical re-run returns the stored result without simulating
-    at all.  The returned result is bit-identical to a cold replay for
-    any store state; ``events_simulated`` reports how much simulation
-    this particular run actually paid.
+    submitted).  ``checkpoint`` — a
+    :class:`repro.harness.checkpoint.CheckpointScope` — makes the replay
+    incremental: it resumes from the deepest stored cut whose record
+    prefix matches this trace (in an unpickled copy, leaving ``sim`` and
+    ``array`` untouched), stores every new cut and the final result as
+    they are produced, and a byte-identical re-run returns the stored
+    result without simulating at all.  Without a store no cut is taken.
 
     Returns the :class:`ShardReplayResult` — byte-identical (see
     :func:`replay_digest`) to ``replay_trace`` on the same inputs for any
-    ``shards`` ≥ 1.
+    ``shards`` ≥ 1 and any store state; ``events_simulated`` reports how
+    much simulation this particular run actually paid.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if submit is None:
-        def submit(fn, *args):
-            return fn(*args)
     records = list(trace)
     duration_s = trace.duration_s
     if checkpoint is not None:
@@ -322,63 +204,34 @@ def replay_trace_sharded(
             result = pickle.loads(stored)
             result.events_simulated = 0
             return result
-    payload = _snapshot(sim, array, [], [])
-
-    # Tentative cut indices at equal time slices of the nominal duration.
-    cuts: list[int] = []
-    total = len(records)
-    for i in range(1, shards):
-        t = duration_s * i / shards
-        index = 0
-        while index < total and records[index].time_s < t:
-            index += 1
-        if 0 < index < total:
-            cuts.append(index)
-    cuts = sorted(set(cuts))
-
-    start = 0
-    first_shard = True
-    last_arrival = 0.0
-    events = 0
-    if checkpoint is not None:
-        resumed = checkpoint.lookup_cut(records)
-        if resumed is not None:
-            payload = resumed.payload
-            start = resumed.consumed
-            last_arrival = resumed.last_arrival_s
-            first_shard = False
-    for cut in cuts:
-        if cut <= start:  # an earlier extension (or a resume) covered this cut
-            continue
-        handoff = submit(
-            advance_shard, payload, records[start:], cut - start, first_shard, last_arrival
-        )
-        if handoff is None:
-            # No quiescent gap anywhere past this point; the rest of the
-            # trace runs as one final shard.
-            break
-        payload = handoff.payload
-        start += handoff.consumed
-        last_arrival = handoff.last_arrival_s
-        first_shard = False
-        events += handoff.events
+    with gc_paused():
+        requests: list = []
+        completions: list = []
+        start = 0
+        cuts: list[int] = []
         if checkpoint is not None:
-            checkpoint.store_cut(records, start, handoff)
-    final_payload = submit(
-        finish_shard,
-        payload,
-        records[start:],
-        first_shard,
-        last_arrival,
-        duration_s,
-        extra_settle_s,
-        finalize,
-        extras_fn,
-    )
+            resumed = checkpoint.lookup_cut(records)
+            if resumed is not None:
+                start, payload = resumed
+                sim, array, requests, completions = pickle.loads(payload)
+            cuts = _slice_starts(records, duration_s, shards)
+        base = sim.events_dispatched
+        warm_extent_cache(array.layout, records[start:])
+        feeder = _Feeder(sim, array, records, requests, completions, index=start)
+        for cut in [*cuts, math.inf]:
+            if cut <= feeder.index:  # the resume point or an earlier cut passed it
+                continue
+            payload = advance_shard(sim, array, feeder, cut)
+            if payload is None:
+                break
+            checkpoint.store_cut(records, feeder.index, payload)
+        result = finish_shard(sim, array, feeder, duration_s, extra_settle_s, finalize, extras_fn)
+    result.events_simulated = sim.events_dispatched - base
     if checkpoint is not None:
-        checkpoint.store_final(records, duration_s, extra_settle_s, finalize, final_payload)
-    result = pickle.loads(final_payload)
-    result.events_simulated += events
+        checkpoint.store_final(
+            records, duration_s, extra_settle_s, finalize,
+            pickle.dumps(result, protocol=PICKLE_PROTOCOL),
+        )
     return result
 
 
@@ -408,24 +261,18 @@ def run_sharded_replay(
     duration_s: float = 30.0,
     seed: int = 42,
     shards: int = 1,
-    workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_max_bytes: int | None = None,
 ) -> tuple[ShardReplayResult, str]:
-    """Build a fresh paper-configuration array and replay ``workload`` sharded.
+    """Build a fresh paper-configuration array and replay ``workload``.
 
-    ``workers > 0`` runs each shard step in a process pool (the handoff
-    travels through real pickled IPC); ``workers == 0`` runs in-process,
-    still pickling between shards.  ``workers=None`` (the default) picks
-    ``min(shards, os.cpu_count())`` — a multi-shard replay uses the pool
-    automatically — except for the single-shard case, which stays
-    in-process.  Returns the result and its :func:`replay_digest`
-    fingerprint — byte-identical for every ``(shards, workers)``
-    combination.
+    Returns the result and its :func:`replay_digest` fingerprint —
+    byte-identical for every ``shards`` count and store state.
 
     ``checkpoint_dir`` names an on-disk :class:`~repro.harness.checkpoint.
-    CheckpointStore`: quiescent cuts and the final result are persisted
-    there and re-runs resume from the deepest matching prefix.
+    CheckpointStore`: up to ``shards - 1`` quiescent cuts and the final
+    result are persisted there and re-runs resume from the deepest
+    matching prefix.
     ``checkpoint_max_bytes`` prunes the store's oldest entries past that
     size after the run (mirroring the sweep cache's ``--cache-max-bytes``).
     """
@@ -437,8 +284,6 @@ def run_sharded_replay(
         raise ValueError(
             f"unknown policy {policy!r}; choose from {sorted(_policy_registry())}"
         )
-    if workers is None:
-        workers = min(shards, os.cpu_count() or 1) if shards > 1 else 0
     sim = Simulator()
     array = build_array(sim, policy_cls())
     trace = make_trace(
@@ -462,17 +307,7 @@ def run_sharded_replay(
                 "array": "paper-default",
             }
         )
-    if workers > 0:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            result = replay_trace_sharded(
-                sim, array, trace, shards=shards,
-                submit=lambda fn, *fnargs: pool.submit(fn, *fnargs).result(),
-                checkpoint=scope,
-            )
-    else:
-        result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
+    result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
     if store is not None and checkpoint_max_bytes is not None:
         store.prune(checkpoint_max_bytes)
     return result, replay_digest(result)

@@ -8,7 +8,9 @@ discrete-event simulator:
 * :class:`~repro.sim.events.Event` — one-shot occurrences that processes wait
   on; :class:`~repro.sim.events.Timeout` fires after a simulated delay, and
   :class:`~repro.sim.events.AllOf` / :class:`~repro.sim.events.AnyOf` compose
-  events (e.g. the two parallel pre-reads of a RAID 5 small write).
+  events (e.g. the two parallel pre-reads of a RAID 5 small write);
+  :func:`~repro.sim.events.schedule_now` queues a pre-triggered event
+  with one callback at the current instant.
 * :class:`~repro.sim.process.Process` — a generator that yields events; the
   kernel resumes it when the yielded event fires.
 * :class:`~repro.sim.resources.Resource` — a counted resource with a FIFO
@@ -20,7 +22,7 @@ seed always produce the same trajectory.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Timeout, schedule_now
 from repro.sim.process import Interrupt, Process, ProcessKilled
 from repro.sim.resources import Resource
 
@@ -35,4 +37,5 @@ __all__ = [
     "Resource",
     "Simulator",
     "Timeout",
+    "schedule_now",
 ]

@@ -178,6 +178,29 @@ class Event:
         return f"<{type(self).__name__}{label} {state}>"
 
 
+def schedule_now(
+    sim: "Simulator", callback, exception: BaseException | None = None
+) -> None:
+    """Schedule a pre-triggered event with one ``callback`` at (now, seq).
+
+    ``Event()`` plus ``succeed()``/``fail()`` fused: the replay feeder's
+    kick, the controller's host-pump and service kicks and every barrier
+    hop is one of these, so building the event in place is measurable at
+    replay scale.
+    """
+    event = Event.__new__(Event)
+    event.sim = sim
+    event.name = ""
+    event.callbacks = [callback]
+    event.defused = False
+    event._value = None
+    event._exception = exception
+    event._scheduled = True
+    event._handled = False
+    sim._sequence += 1
+    sim._bucket.append(event)
+
+
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro.array.factory import build_array
 from repro.harness import checkpoint as checkpoint_mod
+from repro.harness.experiment import run_experiment
 from repro.harness.checkpoint import (
     CheckpointStore,
     CheckpointVersionError,
@@ -29,6 +30,9 @@ from repro.harness.sharding import (
     replay_trace_sharded,
     run_sharded_replay,
 )
+from repro.layout.organization import ORGANIZATIONS
+from repro.metrics import PerfCounters
+from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, Tracer
 from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy, NeverScrubPolicy
 from repro.sim import Simulator
 from repro.traces import make_trace
@@ -133,12 +137,12 @@ def test_duration_extension_resumes_from_cuts(tmp_path):
 def test_run_sharded_replay_checkpoint_round_trip(tmp_path):
     store_dir = str(tmp_path / "store")
     cold, cold_digest = run_sharded_replay(
-        "snake", duration_s=10.0, shards=2, workers=0, checkpoint_dir=store_dir
+        "snake", duration_s=10.0, shards=2, checkpoint_dir=store_dir
     )
     warm, warm_digest = run_sharded_replay(
-        "snake", duration_s=10.0, shards=2, workers=0, checkpoint_dir=store_dir
+        "snake", duration_s=10.0, shards=2, checkpoint_dir=store_dir
     )
-    _, plain_digest = run_sharded_replay("snake", duration_s=10.0, shards=2, workers=0)
+    _, plain_digest = run_sharded_replay("snake", duration_s=10.0, shards=2)
     assert cold_digest == warm_digest == plain_digest
     assert cold.events_simulated > 0
     assert warm.events_simulated == 0
@@ -325,3 +329,70 @@ def test_stored_payloads_use_pinned_protocol(tmp_path):
         # proto 2+ frames open with PROTO opcode naming the version.
         assert payload[0:1] == b"\x80" and payload[1] == PICKLE_PROTOCOL
         pickle.loads(payload)  # revivable
+
+
+# -- run_experiment: every organization, every store state ------------------------------
+
+#: A valid member count per organization (RAID 1 is exactly one pair).
+NDISKS = {"raid5": 5, "raid5d": 6, "raid1": 2, "raid10": 6, "raid15": 6}
+
+
+def test_every_organization_has_a_member_count():
+    assert set(NDISKS) == set(ORGANIZATIONS)
+
+
+@pytest.mark.parametrize("policy", ["afraid", "raid5"])
+@pytest.mark.parametrize("organization", sorted(NDISKS))
+def test_experiment_cold_warm_extended_equal_direct(tmp_path, organization, policy):
+    """Cold store, warm final hit, resume from a stored cut (20 → 30 s)
+    and the direct path all give an equal ExperimentResult."""
+    store = str(tmp_path / "store")
+
+    def run(duration_s, checkpoint_dir=None):
+        counters = PerfCounters()
+        result = run_experiment(
+            "cello-usr",
+            POLICIES[policy](),
+            duration_s=duration_s,
+            seed=3,
+            ndisks=NDISKS[organization],
+            organization=organization,
+            counters=counters,
+            checkpoint_dir=checkpoint_dir,
+        )
+        return result, counters.counts["events_dispatched"]
+
+    direct20, direct20_events = run(20.0)
+    direct30, direct30_events = run(30.0)
+    cold, _ = run(20.0, store)
+    assert glob.glob(os.path.join(store, "*", "cut-*.ckpt")), "no cut to resume from"
+    warm, warm_events = run(20.0, store)
+    extended, extended_events = run(30.0, store)
+    assert cold == direct20
+    assert warm == direct20
+    assert extended == direct30
+    assert warm_events == 0
+    assert 0 < extended_events < direct30_events
+    assert direct20_events > 0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tracer", Tracer()),
+        ("registry", MetricsRegistry()),
+        ("on_array", lambda sim, array: None),
+        ("histograms", HistogramSet()),
+        ("exposure", ExposureMonitor()),
+    ],
+)
+def test_experiment_checkpoint_with_observer_is_refused(tmp_path, name, value):
+    with pytest.raises(ValueError, match=f"{name}=.*checkpoint_dir="):
+        run_experiment(
+            "cello-usr",
+            BaselineAfraidPolicy(),
+            duration_s=2.0,
+            checkpoint_dir=str(tmp_path / "store"),
+            **{name: value},
+        )
+    assert not glob.glob(str(tmp_path / "store" / "*"))

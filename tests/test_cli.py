@@ -64,6 +64,21 @@ class TestSweepCacheCap:
         assert len(list(tmp_path.glob("*.json"))) > 0
 
 
+class TestReplay:
+    def test_shards_without_store_is_a_usage_error(self):
+        # Cuts are only kept in a store; without one --shards would do nothing.
+        with pytest.raises(SystemExit, match="--checkpoint-dir"):
+            main(["replay", "hplajw", "--duration", "2", "--shards", "4"])
+
+    def test_checkpointed_shards_match_one_shard(self, tmp_path, capsys):
+        assert main(["replay", "hplajw", "--duration", "20", "--digest"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["replay", "hplajw", "--duration", "20", "--shards", "4",
+                     "--checkpoint-dir", str(tmp_path), "--digest"]) == 0
+        assert capsys.readouterr().out == direct
+        assert list(tmp_path.glob("*/cut-*.ckpt"))
+
+
 class TestWorkloads:
     def test_lists_all_ten(self, capsys):
         assert main(["workloads"]) == 0
