@@ -75,42 +75,40 @@ def _pickle_protocol() -> int:
     return PICKLE_PROTOCOL
 
 
-def records_digest(records: typing.Sequence["TraceRecord"], upto: int) -> str:
-    """Order-sensitive fingerprint of ``records[:upto]``.
+#: The exact doubles and integers of one trace record, as the digest packs them.
+_RECORD = struct.Struct("<dqqBB")
 
-    Packs the exact doubles and integers of each record, so two prefixes
-    digest equal iff the replay would see bit-identical arrivals.
+
+class PrefixDigest:
+    """Running order-sensitive fingerprint of a record sequence's prefixes.
+
+    :meth:`at` extends one sha256 forward from the last position asked
+    for, so a replay asking for ascending positions (cut lookups, cut
+    stores, then the final entry) packs each record once.  Asking for an
+    earlier position restarts from record 0.  Two prefixes digest equal
+    iff the replay would see bit-identical arrivals.
     """
-    digest = hashlib.sha256()
-    pack = struct.pack
-    for record in records[:upto]:
-        digest.update(
-            pack(
-                "<dqqBB",
-                record.time_s,
-                record.offset_sectors,
-                record.nsectors,
-                1 if record.is_write else 0,
-                1 if record.sync else 0,
-            )
-        )
-    return digest.hexdigest()
 
+    __slots__ = ("records", "position", "packed", "_sha")
 
-def _prefix_digests(
-    records: typing.Sequence["TraceRecord"], marks: typing.Iterable[int]
-) -> dict[int, str]:
-    """``{upto: digest}`` for every ``upto`` in ``marks``, in one scan."""
-    wanted = sorted(set(marks))
-    out: dict[int, str] = {}
-    digest = hashlib.sha256()
-    pack = struct.pack
-    position = 0
-    for upto in wanted:
-        for record in records[position:upto]:
-            digest.update(
+    def __init__(self, records: typing.Sequence["TraceRecord"]) -> None:
+        self.records = records
+        self.position = 0
+        #: Records packed so far, restarts included.
+        self.packed = 0
+        self._sha = hashlib.sha256()
+
+    def at(self, upto: int) -> str:
+        """Hex digest of ``records[:upto]``."""
+        if upto < self.position:
+            self._sha = hashlib.sha256()
+            self.position = 0
+        update = self._sha.update
+        pack = _RECORD.pack
+        fresh = self.records[self.position:upto]
+        for record in fresh:
+            update(
                 pack(
-                    "<dqqBB",
                     record.time_s,
                     record.offset_sectors,
                     record.nsectors,
@@ -118,9 +116,9 @@ def _prefix_digests(
                     1 if record.sync else 0,
                 )
             )
-        position = upto
-        out[upto] = digest.copy().hexdigest()
-    return out
+        self.packed += len(fresh)
+        self.position = upto
+        return self._sha.copy().hexdigest()
 
 
 class CheckpointScope:
@@ -130,6 +128,15 @@ class CheckpointScope:
         self.store = store
         self.key = key
         self.path = os.path.join(store.root, key)
+        self._digest: PrefixDigest | None = None
+
+    def _prefix_sha(self, records: typing.Sequence["TraceRecord"], upto: int) -> str:
+        """Digest of ``records[:upto]``, kept running across this scope's
+        lookups and stores for as long as they name the same sequence."""
+        digest = self._digest
+        if digest is None or digest.records is not records:
+            digest = self._digest = PrefixDigest(records)
+        return digest.at(upto)
 
     # -- entry I/O ---------------------------------------------------------------
 
@@ -209,7 +216,7 @@ class CheckpointScope:
             {
                 "kind": "cut",
                 "consumed": consumed,
-                "prefix_sha": records_digest(records, consumed + 1),
+                "prefix_sha": self._prefix_sha(records, consumed + 1),
                 "payload_bytes": len(payload),
             },
             payload,
@@ -237,7 +244,11 @@ class CheckpointScope:
                 candidates.append((consumed, name))
         if not candidates:
             return None
-        digests = _prefix_digests(records, (consumed + 1 for consumed, _ in candidates))
+        # Ascending, so the running digest extends forward through them.
+        digests = {
+            consumed: self._prefix_sha(records, consumed + 1)
+            for consumed, _ in sorted(candidates)
+        }
         for consumed, name in sorted(candidates, reverse=True):
             entry = self._read(name)
             if entry is None:
@@ -246,7 +257,7 @@ class CheckpointScope:
             if header.get("kind") != "cut" or header.get("consumed") != consumed:
                 self._discard(os.path.join(self.path, name))
                 continue
-            if header.get("prefix_sha") != digests[consumed + 1]:
+            if header.get("prefix_sha") != digests[consumed]:
                 continue  # same scope, different trace content — not ours
             return consumed, payload
         return None
@@ -283,7 +294,7 @@ class CheckpointScope:
             {
                 "kind": "final",
                 "consumed": len(records),
-                "prefix_sha": records_digest(records, len(records)),
+                "prefix_sha": self._prefix_sha(records, len(records)),
                 "payload_bytes": len(result_payload),
             },
             result_payload,
@@ -303,7 +314,7 @@ class CheckpointScope:
         header, payload = entry
         if header.get("kind") != "final" or header.get("consumed") != len(records):
             return None
-        if header.get("prefix_sha") != records_digest(records, len(records)):
+        if header.get("prefix_sha") != self._prefix_sha(records, len(records)):
             return None
         return payload
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextvars
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -28,9 +30,10 @@ import threading
 import time
 import typing
 
-from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS
+from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS, build_array
 from repro.availability import ReliabilityParams, TABLE_1
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.replay import gc_paused
 from repro.metrics import PerfCounters, Summary
 from repro.obs import HistogramSet
 from repro.policy import (
@@ -40,6 +43,8 @@ from repro.policy import (
     NeverScrubPolicy,
     ParityPolicy,
 )
+from repro.sim import Simulator
+from repro.traces import Trace, make_trace
 
 #: Bump when the cached payload layout (not the results) changes shape.
 #: 2: results grew per-class latency histograms (``latency_hists``).
@@ -166,30 +171,56 @@ def cache_key(spec: CellSpec) -> str:
 # -- result (de)serialisation -----------------------------------------------------
 
 
+_INF = float("inf")
+
+#: Leaves the payload walk returns as they are (floats are checked for inf).
+_PLAIN = frozenset((int, str, bool, type(None)))
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass's field names in declaration order; ``None`` otherwise."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _encode(value):
+    """One walk: dataclasses become dicts, infinities ``"inf"``, and every
+    dict and list is copied, so the payload shares no container with the
+    result."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return "inf" if value == _INF else value
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    names = _field_names(type(value))
+    if names is None:
+        return value
+    return {name: _encode(getattr(value, name)) for name in names}
+
+
 def result_to_payload(result: ExperimentResult) -> dict:
     """A JSON-shaped dict that round-trips through :func:`result_from_payload`.
 
     Infinities become the string ``"inf"`` so the files are strict JSON.
     """
-
-    def encode(value):
-        if isinstance(value, float) and value == float("inf"):
-            return "inf"
-        if isinstance(value, dict):
-            return {key: encode(item) for key, item in value.items()}
-        return value
-
-    return {key: encode(value) for key, value in dataclasses.asdict(result).items()}
+    return _encode(result)
 
 
 def result_from_payload(payload: dict) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from a cached payload."""
 
     def revive(value):
-        if value == "inf":
-            return float("inf")
+        if type(value) in _PLAIN:
+            return _INF if value == "inf" else value
         if isinstance(value, dict):
             return {key: revive(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [revive(item) for item in value]
         return value
 
     data = {key: revive(value) for key, value in payload.items()}
@@ -577,6 +608,56 @@ class SweepOutcome:
         return self.results[key]
 
 
+def _trace_key(spec: CellSpec) -> tuple:
+    """What decides a cell's trace: the workload, its length and seed, and
+    the geometry that sets the array's address space."""
+    return (
+        spec.workload, spec.duration_s, spec.seed,
+        spec.organization, spec.ndisks, spec.stripe_unit_sectors,
+    )
+
+
+class _SharedTraces:
+    """The traces of one in-process :func:`run_cells` call, each synthesized
+    once and dropped after the last cell that replays it."""
+
+    def __init__(self, specs: typing.Iterable[CellSpec]) -> None:
+        self.uses = collections.Counter(_trace_key(spec) for spec in specs)
+        self.traces: dict[tuple, Trace] = {}
+
+    def take(self, spec: CellSpec) -> Trace:
+        key = _trace_key(spec)
+        trace = self.traces.get(key)
+        if trace is None:
+            # Sized exactly as run_experiment sizes a named workload: to
+            # the data capacity of the cell's array.
+            array = build_array(
+                Simulator(),
+                spec.policy.build(),
+                ndisks=spec.ndisks,
+                stripe_unit_sectors=spec.stripe_unit_sectors,
+                organization=spec.organization,
+            )
+            trace = self.traces[key] = make_trace(
+                spec.workload,
+                duration_s=spec.duration_s,
+                address_space_sectors=array.layout.total_data_sectors,
+                seed=spec.seed,
+            )
+        self.uses[key] -= 1
+        if self.uses[key] <= 0:
+            del self.traces[key]
+        return trace
+
+
+#: Set by :func:`run_cells` around its in-process cell loop, so
+#: :func:`run_cell` replays shared traces there and synthesizes its own
+#: everywhere else (pool workers, the service, direct callers).
+_SHARED_TRACES: contextvars.ContextVar[_SharedTraces | None] = contextvars.ContextVar(
+    "shared_traces", default=None
+)
+
+
 def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentResult:
     """Simulate one cell (the process-pool work function).
 
@@ -589,8 +670,9 @@ def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentRes
     ``functools.partial(run_cell, checkpoint_dir=...)`` (picklable, so it
     crosses the process pool).
     """
+    shared = _SHARED_TRACES.get()
     return run_experiment(
-        spec.workload,
+        spec.workload if shared is None else shared.take(spec),
         spec.policy.build(),
         duration_s=spec.duration_s,
         seed=spec.seed,
@@ -619,7 +701,8 @@ def run_cells(
     ``checkpoint_dir`` additionally resumes each simulated cell from the
     deepest stored replay checkpoint (exact-result cache and incremental
     checkpoints compose: the cache skips finished cells, the store
-    accelerates the ones that still must run).
+    accelerates the ones that still must run).  With ``jobs == 1`` cells
+    that replay the same trace (a policy ladder) share one synthesis.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -648,15 +731,24 @@ def run_cells(
     if pending:
         completed = 0
         if jobs == 1:
+            token = _SHARED_TRACES.set(_SharedTraces(spec for spec, _key in pending))
             try:
                 for spec, key in pending:
-                    result = cell_fn(spec)
+                    # A finished cell's simulator and array form one cyclic
+                    # graph.  Built and run with the collector paused, all
+                    # of it is still young when the cell returns, so one
+                    # young-generation pass frees it before the next cell.
+                    with gc_paused():
+                        result = cell_fn(spec)
+                    gc.collect(0)
                     results[spec.key] = result
                     if cache is not None and key is not None:
                         cache.store(key, result)
                     completed += 1
             except KeyboardInterrupt:
                 raise SweepInterrupted(cached + completed, len(specs)) from None
+            finally:
+                _SHARED_TRACES.reset(token)
         else:
             executor = CellExecutor(jobs=jobs, cache=cache, cell_fn=cell_fn).start()
             outcomes: list[CellOutcome] = []

@@ -9,20 +9,25 @@ truncation fall back to cold, a foreign version is refused loudly).
 """
 
 import glob
+import hashlib
 import json
 import os
 import pickle
 import shutil
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.array.factory import build_array
+from repro.disk import IoKind
 from repro.harness import checkpoint as checkpoint_mod
 from repro.harness.experiment import run_experiment
 from repro.harness.checkpoint import (
     CheckpointStore,
     CheckpointVersionError,
-    records_digest,
+    PrefixDigest,
 )
 from repro.harness.sharding import (
     PICKLE_PROTOCOL,
@@ -36,6 +41,7 @@ from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, Tracer
 from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy, NeverScrubPolicy
 from repro.sim import Simulator
 from repro.traces import make_trace
+from repro.traces.records import TraceRecord
 
 POLICIES = {
     "afraid": BaselineAfraidPolicy,
@@ -308,7 +314,68 @@ def test_records_digest_is_prefix_consistent():
         )
     )
     assert len(long) > len(short)
-    assert records_digest(long, len(short)) == records_digest(short, len(short))
+    assert PrefixDigest(long).at(len(short)) == PrefixDigest(short).at(len(short))
+
+
+def _scratch_digest(records, upto):
+    """The from-scratch oracle: sha256 over each record's packed fields."""
+    digest = hashlib.sha256()
+    for record in records[:upto]:
+        digest.update(
+            struct.pack(
+                "<dqqBB", record.time_s, record.offset_sectors, record.nsectors,
+                1 if record.is_write else 0, 1 if record.sync else 0,
+            )
+        )
+    return digest.hexdigest()
+
+
+_RECORDS = st.lists(
+    st.builds(
+        TraceRecord,
+        time_s=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        kind=st.sampled_from([IoKind.READ, IoKind.WRITE]),
+        offset_sectors=st.integers(min_value=0, max_value=2**40),
+        nsectors=st.integers(min_value=1, max_value=256),
+        sync=st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+@given(records=_RECORDS, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_running_prefix_digest_matches_scratch_digest(records, data):
+    positions = data.draw(
+        st.lists(st.integers(min_value=0, max_value=len(records)), min_size=1, max_size=8)
+    )
+    # Always ask below a position already reached, which must restart.
+    positions += [len(records), len(records) // 2]
+    digest = PrefixDigest(records)
+    for upto in positions:
+        assert digest.at(upto) == _scratch_digest(records, upto)
+
+
+def test_cold_and_extended_checkpointed_runs_pack_each_record_once(tmp_path, monkeypatch):
+    made = []
+
+    class Recorded(PrefixDigest):
+        def __init__(self, records):
+            super().__init__(records)
+            made.append(self)
+
+    monkeypatch.setattr(checkpoint_mod, "PrefixDigest", Recorded)
+    for duration_s in (20.0, 30.0):  # cold, then extended from the stored cuts
+        made.clear()
+        sim = Simulator()
+        array = build_array(sim, AlwaysRaid5Policy())
+        trace = make_trace(
+            "cello-usr", duration_s=duration_s, seed=42,
+            address_space_sectors=array.layout.total_data_sectors,
+        )
+        run_experiment(trace, AlwaysRaid5Policy(), checkpoint_dir=str(tmp_path / "store"))
+        assert len(made) == 1
+        assert 0 < made[0].packed <= len(trace.records)
 
 
 def test_scope_key_covers_code_fingerprint(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The parallel sweep engine: cache behaviour, parallel determinism."""
 
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -22,6 +23,8 @@ from repro.harness.runner import (
     cache_key,
     code_fingerprint,
     ladder_specs,
+    result_from_payload,
+    result_to_payload,
     run_cell,
     run_cells,
 )
@@ -373,3 +376,122 @@ class TestExposureHistogramsThroughTheEngine:
         legacy = dataclasses.replace(result, exposure_hists=None)
         merged = merged_exposure_histograms([result, legacy])
         assert merged == merged_exposure_histograms([result])
+
+
+class TestInProcessSweep:
+    """``run_cells(jobs=1)``: shared traces, freed cells, exact results."""
+
+    def test_finished_cells_are_freed(self, tmp_path):
+        """Replays pause cyclic GC and a finished cell's sim/array graph is
+        cyclic; the sweep must free each cell itself, not leave them all
+        for some later collection."""
+        from repro.array.controller import DiskArray
+
+        # Held, so no array alive before the sweep can lend its id to a new one.
+        before = [obj for obj in gc.get_objects() if isinstance(obj, DiskArray)]
+        seen = {id(obj) for obj in before}
+        specs = ladder_specs(
+            ["hplajw"], targets=[1e9, 1e8, 3e7, 1e7, 3e6, 1e6, 3e5], duration_s=60.0, seed=11
+        )
+        assert len(specs) == 10
+        run_cells(specs, jobs=1, checkpoint_dir=str(tmp_path / "ckpt"))
+        live = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, DiskArray) and id(obj) not in seen
+        ]
+        assert len(live) <= 1
+
+    def test_shared_traces_are_exact_and_keyed_by_geometry(self, tmp_path, monkeypatch):
+        from repro.traces.synthetic import BurstyWorkloadGenerator
+
+        grid = [
+            CellSpec(
+                workload="hplajw", policy=PolicySpec(kind), duration_s=duration, seed=seed,
+                organization=organization, ndisks=ndisks,
+            )
+            for organization, ndisks in (("raid5", 5), ("raid10", 6))
+            for seed in (11, 12)
+            for duration in (2.0, 3.0)
+            for kind in ("afraid", "raid5")
+        ]
+        trace_keys = {
+            (s.duration_s, s.seed, s.organization, s.ndisks) for s in grid
+        }
+        assert len(trace_keys) == 8 and len(grid) == 16
+        expected = {
+            cache_key(spec): json.loads(json.dumps(result_to_payload(run_cell(spec))))
+            for spec in grid
+        }
+
+        real_generate = BurstyWorkloadGenerator.generate
+        generated = []
+
+        def counting_generate(self):
+            generated.append(self)
+            return real_generate(self)
+
+        monkeypatch.setattr(BurstyWorkloadGenerator, "generate", counting_generate)
+        for label, checkpoint_dir in (("direct", None), ("ckpt", str(tmp_path / "ckpt"))):
+            generated.clear()
+            cache_dir = tmp_path / f"cache-{label}"
+            outcome = run_cells(grid, jobs=1, cache_dir=cache_dir, checkpoint_dir=checkpoint_dir)
+            assert outcome.simulated == len(grid)
+            assert len(generated) == len(trace_keys), label
+            # Results are keyed by (workload, policy label), which repeats
+            # across seeds and durations: read every cell back by its
+            # content address instead.
+            for key, payload in expected.items():
+                assert json.loads((cache_dir / f"{key}.json").read_text()) == payload, label
+
+
+def _old_result_to_payload(result):
+    """The ``dataclasses.asdict`` encoder ``result_to_payload`` replaced."""
+
+    def encode(value):
+        if isinstance(value, float) and value == float("inf"):
+            return "inf"
+        if isinstance(value, dict):
+            return {key: encode(item) for key, item in value.items()}
+        return value
+
+    return {key: encode(value) for key, value in dataclasses.asdict(result).items()}
+
+
+class TestResultPayload:
+    @pytest.fixture(scope="class")
+    def infinite_cell(self):
+        """A ladder cell whose MTTDL (and a nested summary field) is infinite."""
+        spec = ladder_specs(["hplajw"], targets=[1e7], **QUICK)[1]
+        result = run_cell(spec)
+        return dataclasses.replace(
+            result,
+            mttdl_disk_h=float("inf"),
+            mttdl_overall_h=float("inf"),
+            io_time=dataclasses.replace(result.io_time, maximum=float("inf")),
+        )
+
+    def test_matches_the_asdict_encoder(self, infinite_cell):
+        payload = result_to_payload(infinite_cell)
+        assert payload["mttdl_overall_h"] == "inf"
+        assert payload["io_time"]["maximum"] == "inf"
+        assert json.dumps(payload) == json.dumps(_old_result_to_payload(infinite_cell))
+
+    def test_round_trips(self, infinite_cell):
+        payload = result_to_payload(infinite_cell)
+        assert result_from_payload(payload) == infinite_cell
+        assert result_from_payload(json.loads(json.dumps(payload))) == infinite_cell
+
+    def test_payload_shares_no_container_with_the_result(self, infinite_cell):
+        before = json.dumps(_old_result_to_payload(infinite_cell))
+        payload = result_to_payload(infinite_cell)
+        for field in ("latency_hists", "exposure_hists"):
+            hists = payload[field]
+            assert hists["classes"]
+            for data in hists["classes"].values():
+                data["counts"]["0"] = -1
+                data["counts"].clear()
+                data["count"] = -1
+            hists["classes"].clear()
+        payload["io_time"]["count"] = -1
+        payload["params"].clear()
+        assert json.dumps(_old_result_to_payload(infinite_cell)) == before
