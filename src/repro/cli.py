@@ -756,6 +756,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "--shards only sets how many checkpoint cuts to keep; "
             "pass --checkpoint-dir DIR to store them, or drop --shards"
         )
+    organization, ndisks = _resolve_organization(args)
     result, digest = run_sharded_replay(
         args.workload,
         policy=args.policy,
@@ -764,40 +765,44 @@ def cmd_replay(args: argparse.Namespace) -> int:
         shards=args.shards,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_max_bytes=args.checkpoint_max_bytes,
+        organization=organization,
+        ndisks=ndisks,
     )
     if args.report_json:
         report = {
             "workload": args.workload,
             "policy": args.policy,
+            "organization": organization,
+            "ndisks": ndisks,
             "duration_s": args.duration,
             "seed": args.seed,
             "shards": args.shards,
             "digest": digest,
             "events_simulated": result.events_simulated,
-            "requests": len(result.outcome.requests),
+            "resumed_at": result.resumed_at,
+            "requests": result.nrequests,
         }
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
     if args.digest:
         print(digest)
         return 0
-    outcome = result.outcome
-    io_times = outcome.io_times
-    mean_ms = (sum(io_times) / len(io_times) * 1e3) if io_times else 0.0
     rows = [
-        ["requests", str(len(outcome.requests))],
+        ["requests", str(result.nrequests)],
         ["shards", str(args.shards)],
-        ["mean I/O time", f"{mean_ms:.2f} ms"],
+        ["mean I/O time", f"{result.stats.mean_io_time * 1e3:.2f} ms"],
         ["events simulated", str(result.events_simulated)],
         ["unprotected time", f"{result.parity_lag[0]:.1%}"],
         ["stripes scrubbed", str(result.stats.stripes_scrubbed)],
-        ["horizon", f"{outcome.horizon_s:g} s"],
+        ["horizon", f"{result.horizon_s:g} s"],
         ["digest", digest],
     ]
     title = (
         f"{args.workload} under {args.policy} "
         f"({args.duration:g}s, seed {args.seed}, {args.shards} shard(s))"
     )
+    if organization != "raid5":
+        title += f" [{organization}, {ndisks} disks]"
     print(format_table(["metric", "value"], rows, title=title))
     return 0
 
@@ -1225,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="replay checkpoint store: simulated cells resume from the deepest "
-        "stored quiescent cut (composes with the result cache)",
+        "valid stored cut or drained tail (composes with the result cache)",
     )
     sweep_parser.add_argument(
         "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
@@ -1339,6 +1344,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument(
         "--policy", default="afraid", choices=["afraid", "raid5", "raid0"]
     )
+    replay_parser.add_argument(
+        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
+        help="redundancy scheme (default: the paper's RAID 5), over its default disk count",
+    )
     replay_parser.add_argument("--duration", type=float, default=30.0, help="trace duration (simulated s)")
     replay_parser.add_argument("--seed", type=int, default=42)
     replay_parser.add_argument(
@@ -1353,7 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist quiescent-cut checkpoints (and the final result) in DIR; "
+        help="persist quiescent cuts, the drained tail and the final result in DIR; "
         "re-runs resume from the deepest matching trace prefix",
     )
     replay_parser.add_argument(
@@ -1506,7 +1515,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="replay checkpoint store: cache-miss cells resume from the deepest "
-        "stored quiescent cut instead of simulating from t=0",
+        "valid stored cut or drained tail instead of simulating from t=0",
     )
     serve_parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"

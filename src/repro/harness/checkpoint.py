@@ -1,14 +1,17 @@
 """Content-addressed on-disk store for replay checkpoints.
 
-A checkpoint is one of the quiescent cuts
-:mod:`repro.harness.sharding` observes during a replay — the full
-simulator + array state at an idle arrival, pickled — persisted so a
-later replay of the same cell can resume from the longest matching trace
-prefix instead of re-simulating from ``t=0``.  The run's final
-:class:`ShardReplayResult` is stored too, as the last rung of the prefix
-ladder: a byte-identical re-run pays only the store lookup, a
-``--duration`` extension resumes from the deepest cut inside the new
-trace, and everything else falls back to a cold replay.
+A checkpoint is one of the quiescent snapshots
+:mod:`repro.harness.sharding` takes during a replay — the full
+simulator + array state, the submitted-request count and the failures
+so far, pickled without any per-request object — persisted so a later
+replay of the same cell can resume from the longest matching trace
+prefix instead of re-simulating from ``t=0``.  A **cut** stands at an
+idle arrival; a **tail** stands at the horizon of a run that drained
+there.  The run's final :class:`ShardReplayResult` is stored too: a
+byte-identical re-run pays only the store lookup, a ``--duration``
+extension resumes from the stored run's tail when it is valid (see
+:meth:`CheckpointScope.lookup_cut`) and otherwise from the deepest cut
+inside the new trace, and everything else falls back to a cold replay.
 
 Keying follows the same fingerprint discipline as
 :class:`repro.harness.runner.ResultCache`:
@@ -25,6 +28,10 @@ Keying follows the same fingerprint discipline as
   produced it (this is what makes ``--duration`` extension
   safe: the synthetic generators emit identical prefixes for longer
   durations, and the digest proves it);
+* each **tail entry** records every record the stored run consumed and
+  a digest of exactly those, plus the run's last-arrival clock and
+  horizon as exact hex floats, which decide whether a longer trace's
+  next arrival leaves the stored run's settle untouched;
 * each **final entry** is additionally keyed on the full record count,
   the measurement-horizon inputs (duration, settle) and the finalize
   flag — everything that distinguishes one complete replay from another
@@ -204,62 +211,109 @@ class CheckpointScope:
         except OSError:
             pass
 
-    # -- cuts --------------------------------------------------------------------
+    # -- cuts and tails -----------------------------------------------------------
 
     def store_cut(
-        self, records: typing.Sequence["TraceRecord"], consumed: int, payload: bytes
+        self,
+        records: typing.Sequence["TraceRecord"],
+        consumed: int,
+        payload: bytes,
+        tail: tuple[float, float] | None = None,
     ) -> None:
-        """Persist the snapshot taken at record ``consumed``'s arrival, after
-        ``consumed`` records were submitted; keyed on ``records[:consumed + 1]``."""
-        self._write(
-            f"cut-{consumed:08d}.ckpt",
-            {
-                "kind": "cut",
-                "consumed": consumed,
-                "prefix_sha": self._prefix_sha(records, consumed + 1),
-                "payload_bytes": len(payload),
-            },
-            payload,
-        )
+        """Persist a snapshot taken after ``consumed`` records were submitted.
 
-    def lookup_cut(self, records: typing.Sequence["TraceRecord"]) -> tuple[int, bytes] | None:
-        """``(consumed, payload)`` of the deepest stored cut whose record
-        prefix matches ``records``."""
+        A **cut** (``tail=None``) stands at record ``consumed``'s arrival
+        and is keyed on ``records[:consumed + 1]``.  A **tail** stands at
+        the horizon of a run that consumed every record
+        (``consumed == len(records)``) and drained; ``tail`` is that run's
+        ``(last-arrival clock, horizon)``, recorded as exact hex floats,
+        and the entry is keyed on ``records[:consumed]``.
+        """
+        if tail is None:
+            name = f"cut-{consumed:08d}.ckpt"
+            header = {"kind": "cut", "prefix_sha": self._prefix_sha(records, consumed + 1)}
+        else:
+            clock, horizon = tail
+            name = f"tail-{consumed:08d}.ckpt"
+            header = {
+                "kind": "tail",
+                "prefix_sha": self._prefix_sha(records, consumed),
+                "clock": clock.hex(),
+                "horizon": horizon.hex(),
+            }
+        header["consumed"] = consumed
+        header["payload_bytes"] = len(payload)
+        self._write(name, header, payload)
+
+    def lookup_cut(
+        self, records: typing.Sequence["TraceRecord"], duration_s: float | None = None
+    ) -> tuple[int, bytes, float | None] | None:
+        """``(consumed, payload, clock)`` of the deepest valid cut or tail for
+        a replay of ``records`` over ``duration_s``.
+
+        A cut is valid when its record prefix matches (``clock`` is then
+        ``None``).  A tail is valid when its prefix matches and nothing
+        the new run adds can reach the stored run before its horizon: the
+        next record's arrival — ``clock + (time_s - clock)``, the sum
+        :class:`repro.harness.replay._Feeder` schedules it at — comes
+        strictly after the stored horizon, or, when no record follows,
+        ``duration_s`` does (the resumed run then measures to
+        ``duration_s + extra_settle_s``, as the direct one does).  The
+        caller rewinds the restored clock to the tail's ``clock`` before
+        re-arming the feed.
+        """
         try:
-            names = sorted(
-                name for name in os.listdir(self.path)
-                if name.startswith("cut-") and name.endswith(".ckpt")
-            )
+            names = os.listdir(self.path)
         except OSError:
             return None
-        candidates: list[tuple[int, str]] = []
+        total = len(records)
+        candidates: list[tuple[int, int, str]] = []
         for name in names:
+            kind, _, rest = name.partition("-")
+            if kind not in ("cut", "tail") or not rest.endswith(".ckpt"):
+                continue
             try:
-                consumed = int(name[4:-5])
+                consumed = int(rest[:-5])
             except ValueError:
                 continue
-            # A cut stands at record ``consumed``'s arrival, so that record
-            # must exist in this trace.
-            if 0 < consumed < len(records):
-                candidates.append((consumed, name))
+            if kind == "cut" and 0 < consumed < total:
+                # A cut stands at record ``consumed``'s arrival, so that
+                # record must exist in this trace.
+                candidates.append((consumed, consumed + 1, name))
+            elif kind == "tail" and 0 < consumed <= total:
+                candidates.append((consumed, consumed, name))
         if not candidates:
             return None
+        candidates.sort()
         # Ascending, so the running digest extends forward through them.
-        digests = {
-            consumed: self._prefix_sha(records, consumed + 1)
-            for consumed, _ in sorted(candidates)
-        }
-        for consumed, name in sorted(candidates, reverse=True):
+        digests = {upto: self._prefix_sha(records, upto) for _, upto, _ in candidates}
+        for consumed, upto, name in reversed(candidates):
+            path = os.path.join(self.path, name)
             entry = self._read(name)
             if entry is None:
                 continue
             header, payload = entry
-            if header.get("kind") != "cut" or header.get("consumed") != consumed:
-                self._discard(os.path.join(self.path, name))
+            kind = name.partition("-")[0]
+            clock = None
+            try:
+                if header["kind"] != kind or header["consumed"] != consumed:
+                    raise ValueError("header does not match the entry name")
+                if kind == "tail":
+                    clock = float.fromhex(header["clock"])
+                    horizon = float.fromhex(header["horizon"])
+            except (KeyError, TypeError, ValueError):
+                self._discard(path)
                 continue
-            if header.get("prefix_sha") != digests[consumed]:
+            if header.get("prefix_sha") != digests[upto]:
                 continue  # same scope, different trace content — not ours
-            return consumed, payload
+            if kind == "tail":
+                if consumed < total:
+                    arrival = clock + (records[consumed].time_s - clock)
+                    if not arrival > horizon:
+                        continue
+                elif duration_s is None or not duration_s > horizon:
+                    continue
+            return consumed, payload, clock
         return None
 
     # -- final results -----------------------------------------------------------

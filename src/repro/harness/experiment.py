@@ -247,13 +247,15 @@ def run_experiment(
     :class:`~repro.harness.checkpoint.CheckpointStore`: the replay runs
     through :func:`~repro.harness.sharding.replay_trace_sharded`, which
     stores up to ``CHECKPOINT_SHARDS - 1`` quiescent cuts as it passes
-    them, resumes from the deepest stored cut matching this cell, and
-    returns the stored result of a byte-identical earlier run without
-    simulating at all.  The result equals the direct path's.  A resumed
-    or stored run does not simulate in the caller's objects, so
-    ``checkpoint_dir`` cannot be combined with a live observer:
-    ``tracer``, ``registry``, ``on_array``, ``histograms`` or ``exposure``
-    together with it raise :class:`ValueError` naming the argument.
+    them and a tail where a drained run stopped, resumes from the deepest
+    valid cut or tail for this cell (a longer run from where a shorter
+    one stopped), and returns the stored result of a byte-identical
+    earlier run without simulating at all.  The result equals the direct
+    path's.  A resumed or stored run does not simulate in the caller's
+    objects, so ``checkpoint_dir`` cannot be combined with a live
+    observer: ``tracer``, ``registry``, ``on_array``, ``histograms`` or
+    ``exposure`` together with it raise :class:`ValueError` naming the
+    argument.
     """
     if checkpoint_dir is not None:
         observers = {
@@ -338,17 +340,18 @@ def run_experiment(
     else:
         with counters.phase("replay"):
             outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
-        replayed = sharding.ShardReplayResult.from_array(array, outcome)
+        replayed = sharding.ShardReplayResult.from_array(
+            array, outcome.horizon_s, len(outcome.requests), outcome.failures
+        )
         replayed.events_simulated = sim.events_dispatched
         replayed.extras = _result_extras(sim, array)
     stats = replayed.stats
-    outcome = replayed.outcome
     counters.count("events_dispatched", replayed.events_simulated)
     counters.count("ios_serviced", stats.reads_completed + stats.writes_completed)
-    if outcome.failures:
+    if replayed.failures:
         raise RuntimeError(
-            f"{len(outcome.failures)} requests failed during a fault-free run: "
-            f"{outcome.failures[0]!r}"
+            f"{len(replayed.failures)} requests failed during a fault-free run: "
+            f"{replayed.failures[0]!r}"
         )
 
     unprotected, mean_lag, peak_lag, _total = replayed.parity_lag
@@ -364,11 +367,12 @@ def run_experiment(
         workload=trace.name,
         policy=policy.describe(),
         ndisks=ndisks,
-        nrequests=len(outcome.requests),
+        nrequests=replayed.nrequests,
         reads=stats.reads_completed,
         writes=stats.writes_completed,
-        io_time=Summary.of(outcome.io_times),
-        horizon_s=outcome.horizon_s,
+        # The latencies of every completed request; Summary.of sorts them.
+        io_time=Summary.of(stats.io_times),
+        horizon_s=replayed.horizon_s,
         stripes_scrubbed=stats.stripes_scrubbed,
         dirty_at_end=replayed.extras["dirty_at_end"],
         unprotected_fraction=unprotected,

@@ -79,14 +79,21 @@ class _Feeder:
     before submitting its record.  A pause completes ``done`` just like
     the finish; ``index < len(records)`` tells the two apart, and
     :meth:`start` resumes the feed at the same instant.
+
+    Every consumed record is submitted, so ``index`` is also the count of
+    submitted requests.  ``requests``/``completions`` hold only those
+    submitted since the last :meth:`fold`; ``failures`` holds the
+    failures of the ones folded away.
     """
 
     __slots__ = (
-        "sim", "array", "records", "index", "requests", "completions", "done", "cut_at",
-        "_fire_cb",
+        "sim", "array", "records", "index", "requests", "completions", "failures", "done",
+        "cut_at", "_fire_cb",
     )
 
-    def __init__(self, sim, array, records, requests, completions, index: int = 0) -> None:
+    def __init__(
+        self, sim, array, records, requests, completions, index: int = 0, failures=None
+    ) -> None:
         self.sim = sim
         #: Bound once: appended to every inter-arrival timeout.
         self._fire_cb = self._fire
@@ -95,6 +102,7 @@ class _Feeder:
         self.index = index
         self.requests = requests
         self.completions = completions
+        self.failures: list[BaseException] = [] if failures is None else failures
         #: Record index from which a quiescent arrival pauses the feed.
         self.cut_at = math.inf
         #: Triggers when the last record has been submitted (or the feed
@@ -115,6 +123,26 @@ class _Feeder:
         schedule_now(self.sim, self._fire_cb)
         return self.done
 
+    def fold(self) -> bool:
+        """Drop the submitted requests' objects once every one has completed.
+
+        Their failures move to ``failures`` in submission order and
+        ``index`` keeps their count, so a checkpoint of the feed carries
+        no request or event object.  Returns ``False``, changing nothing,
+        while a submitted request is still outstanding.
+        """
+        completions = self.completions
+        for completion in completions:
+            if completion.callbacks is not None:
+                return False
+        self.failures.extend(
+            completion._exception for completion in completions
+            if completion._exception is not None
+        )
+        completions.clear()
+        self.requests.clear()
+        return True
+
     def _fire(self, _event: Event) -> None:
         sim = self.sim
         array = self.array
@@ -131,6 +159,9 @@ class _Feeder:
         while index < total:
             record = records[index]
             if record.time_s > sim._now:
+                # Due at ``now + (time_s - now)``: a drained tail entry
+                # (repro.harness.checkpoint) replays this sum to decide
+                # whether the next arrival comes after its horizon.
                 timeout = sim.timeout(record.time_s - sim._now)
                 timeout.callbacks.append(self._fire_cb)
                 self.index = index

@@ -6,8 +6,10 @@ replay takes up to ``shards - 1`` **cuts** — the complete simulation
 state (disk head positions, NVRAM mark memory, parity-lag integrals,
 caches, the event kernel itself) pickled into a
 :class:`~repro.harness.checkpoint.CheckpointScope` — and carries on.  A
-later replay of the same cell resumes from the deepest stored cut whose
-trace prefix matches, or returns the stored final result outright.
+run that drains at its horizon also stores a **tail** there, so a longer
+run extends it from where it stopped.  A later replay of the same cell
+resumes from the deepest valid cut or tail, or returns the stored final
+result outright.
 
 Cut rule: a cut is taken when the feeder's arrival timer for record
 ``k`` fires and nothing else is pending (heap and bucket both empty), at
@@ -38,6 +40,24 @@ shard count and any store state.  Three properties make that hold:
   see ``_PendingType.__reduce__`` in :mod:`repro.sim.events`).  At a
   quiescent cut no generator frames are live, so the graph contains no
   unpicklable objects.
+* **Request-free snapshots.**  At a quiescent point every submitted
+  request has completed, so a snapshot is ``(sim, array, submitted
+  count, failures so far)``: the per-request objects are folded away
+  (:meth:`repro.harness.replay._Feeder.fold`), latencies live on in
+  ``array.stats.io_times``, and a snapshot with a request outstanding
+  raises :class:`~repro.harness.checkpoint.CheckpointError`.
+
+Tail rule: after the settle and before finalisation, a run whose heap
+and bucket are both empty at its horizon ``H`` stores a tail keyed on
+all ``n`` records it consumed, with its last arrival's clock ``c`` and
+``H``.  A run of ``n`` identical leading records evolves exactly as the
+stored one up to ``H`` as long as nothing it adds happens by then: its
+next arrival, due at ``c + (t_n - c)`` (the sum the feeder schedules),
+must come strictly after ``H`` — or, when no record follows, its
+duration must.  Resuming rewinds the clock to ``c`` (nothing is
+pending, so nothing can reorder) and re-arms the feed as at a cut, so
+record ``n`` is scheduled at the same float instant.  Runs that end with
+work pending store no tail; their extensions fall back to slice cuts.
 
 Without a store there is nowhere to keep a cut, so none is taken and
 the run is the direct replay.  Checkpointing assumes a healthy run (no
@@ -56,7 +76,8 @@ import typing
 
 from repro.array.controller import DiskArray
 from repro.array.batchplan import warm_extent_cache
-from repro.harness.replay import ReplayOutcome, _Feeder, gc_paused, settle
+from repro.array.factory import PAPER_NDISKS, build_array
+from repro.harness.replay import _Feeder, gc_paused, settle
 from repro.sim import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -78,28 +99,39 @@ class ShardReplayResult:
     The run may stop at the measurement horizon with background
     machinery (the scrub generator) suspended mid-flight, so the live
     simulator cannot be stored as a final result — the counters, latency
-    stream, and parity-lag integrals can.
+    stream, and parity-lag integrals can.  No per-request object is kept:
+    ``stats.io_times`` holds every completed request's latency.
     """
 
-    outcome: ReplayOutcome
     stats: typing.Any  # repro.array.controller.ArrayStats
     disk_stats: list  # repro.disk.disk.DiskStats per member, in order
     #: (unprotected_fraction, mean_lag_bytes, peak_lag_bytes, total_time)
     parity_lag: tuple[float, float, float, float]
+    #: The measurement horizon: max(duration, last completion) + settle.
+    horizon_s: float
+    #: Requests submitted over the whole replay.
+    nrequests: int
+    #: Failed requests' exceptions, in submission order.
+    failures: list
     #: Every event *this* run dispatched (not the whole simulated
     #: history): a checkpoint-resumed replay reports only its delta, and
     #: a full store hit reports 0.  Excluded from :func:`replay_digest` —
     #: it describes the run, not the simulated results.
     events_simulated: int = 0
+    #: Trace records this run did not feed itself: the record count of
+    #: the cut or tail it resumed from (0 for a cold start), or every
+    #: record for a stored final result.  Excluded from the digest too.
+    resumed_at: int = 0
     #: Extra per-run values collected by ``finish_shard``'s ``extras_fn``
     #: (e.g. histogram payloads for :func:`repro.harness.experiment`).
     extras: dict | None = None
 
     @classmethod
-    def from_array(cls, array: DiskArray, outcome: ReplayOutcome) -> "ShardReplayResult":
+    def from_array(
+        cls, array: DiskArray, horizon_s: float, nrequests: int, failures: list
+    ) -> "ShardReplayResult":
         tracker = array.lag_tracker
         return cls(
-            outcome=outcome,
             stats=array.stats,
             disk_stats=[disk.stats for disk in array.disks],
             parity_lag=(
@@ -108,6 +140,9 @@ class ShardReplayResult:
                 tracker.peak_parity_lag_bytes,
                 tracker.total_time,
             ),
+            horizon_s=horizon_s,
+            nrequests=nrequests,
+            failures=failures,
         )
 
 
@@ -126,21 +161,40 @@ def _slice_starts(records: list, duration_s: float, shards: int) -> list[int]:
     return sorted(starts)
 
 
+def snapshot(sim: Simulator, array: DiskArray, feeder: _Feeder) -> bytes:
+    """The replay's state as a checkpoint payload: the pickled
+    ``(sim, array, submitted, failures)``.
+
+    The feed is folded first (:meth:`~repro.harness.replay._Feeder.fold`),
+    so the payload carries the submitted count and the failures so far,
+    not the request and completion objects.  Raises
+    :class:`~repro.harness.checkpoint.CheckpointError` while a submitted
+    request is still outstanding: live objects are never pickled.
+    """
+    if not feeder.fold():
+        # Imported here: the checkpoint store imports the runner, which
+        # imports this module through the experiment harness.
+        from repro.harness.checkpoint import CheckpointError
+
+        raise CheckpointError(
+            f"cannot checkpoint at t={sim.now!r}: a submitted request is still outstanding"
+        )
+    return pickle.dumps((sim, array, feeder.index, feeder.failures), protocol=PICKLE_PROTOCOL)
+
+
 def advance_shard(sim: Simulator, array: DiskArray, feeder: _Feeder, cut_at: float) -> bytes | None:
     """Run to the next cut: the first quiescent arrival at or after record ``cut_at``.
 
-    Returns the pickled ``(sim, array, requests, completions)`` there —
-    the feed stands paused before record ``feeder.index`` — or ``None``
-    when the feed ended first (always so for ``cut_at=math.inf``).
-    Either way the run itself continues with the next call.
+    Returns the :func:`snapshot` there — the feed stands paused before
+    record ``feeder.index`` — or ``None`` when the feed ended first
+    (always so for ``cut_at=math.inf``).  Either way the run itself
+    continues with the next call.
     """
     feeder.cut_at = cut_at
     sim.run_until_triggered(feeder.start())
     if feeder.index == len(feeder.records):
         return None
-    return pickle.dumps(
-        (sim, array, feeder.requests, feeder.completions), protocol=PICKLE_PROTOCOL
-    )
+    return snapshot(sim, array, feeder)
 
 
 def finish_shard(
@@ -151,18 +205,33 @@ def finish_shard(
     extra_settle_s: float,
     finalize: bool,
     extras_fn: typing.Callable[..., dict] | None = None,
+    checkpoint: "CheckpointScope | None" = None,
 ) -> ShardReplayResult:
     """Close the books like ``replay_trace`` once the feed has ended.
+
+    With a ``checkpoint`` scope, a run that drains — heap and bucket
+    both empty at its horizon — stores a **tail** there, after the
+    settle and before finalisation: a longer run sharing every record
+    resumes from it (see :meth:`~repro.harness.checkpoint.CheckpointScope.
+    lookup_cut` for when that is exact).
 
     ``extras_fn(sim, array)`` runs after finalisation and its return
     value lands in ``ShardReplayResult.extras``; callers that need more
     than the counters (histogram payloads, end-state gauges) collect them
     here.  ``events_simulated`` is left for the caller to fill in.
     """
+    clock = sim.now  # the feed has just ended: the last arrival's clock
     outcome = settle(sim, feeder.requests, feeder.completions, duration_s, extra_settle_s)
+    # The settle waited out every submitted request, so the fold succeeds.
+    feeder.fold()
+    if checkpoint is not None and not sim._queue and not sim._bucket:
+        checkpoint.store_cut(
+            feeder.records, feeder.index, snapshot(sim, array, feeder),
+            tail=(clock, outcome.horizon_s),
+        )
     if finalize:
         array.finalize()
-    result = ShardReplayResult.from_array(array, outcome)
+    result = ShardReplayResult.from_array(array, outcome.horizon_s, feeder.index, feeder.failures)
     if extras_fn is not None:
         result.extras = extras_fn(sim, array)
     return result
@@ -203,21 +272,26 @@ def replay_trace_sharded(
         if stored is not None:
             result = pickle.loads(stored)
             result.events_simulated = 0
+            result.resumed_at = len(records)
             return result
     with gc_paused():
-        requests: list = []
-        completions: list = []
         start = 0
+        failures = None
         cuts: list[int] = []
         if checkpoint is not None:
-            resumed = checkpoint.lookup_cut(records)
+            resumed = checkpoint.lookup_cut(records, duration_s)
             if resumed is not None:
-                start, payload = resumed
-                sim, array, requests, completions = pickle.loads(payload)
+                start, payload, clock = resumed
+                sim, array, _submitted, failures = pickle.loads(payload)
+                if clock is not None:
+                    # A tail: back to the last arrival's clock, so the
+                    # re-armed feed schedules record ``start`` with the
+                    # same float sum as the uninterrupted run did.
+                    sim._now = clock
             cuts = _slice_starts(records, duration_s, shards)
         base = sim.events_dispatched
         warm_extent_cache(array.layout, records[start:])
-        feeder = _Feeder(sim, array, records, requests, completions, index=start)
+        feeder = _Feeder(sim, array, records, [], [], index=start, failures=failures)
         for cut in [*cuts, math.inf]:
             if cut <= feeder.index:  # the resume point or an earlier cut passed it
                 continue
@@ -225,8 +299,14 @@ def replay_trace_sharded(
             if payload is None:
                 break
             checkpoint.store_cut(records, feeder.index, payload)
-        result = finish_shard(sim, array, feeder, duration_s, extra_settle_s, finalize, extras_fn)
+        # A run resumed from a tail at its own last record adds no record;
+        # the tail it resumed from has the earlier horizon, so it stays.
+        result = finish_shard(
+            sim, array, feeder, duration_s, extra_settle_s, finalize, extras_fn,
+            checkpoint if start < len(records) else None,
+        )
     result.events_simulated = sim.events_dispatched - base
+    result.resumed_at = start
     if checkpoint is not None:
         checkpoint.store_final(
             records, duration_s, extra_settle_s, finalize,
@@ -263,8 +343,13 @@ def run_sharded_replay(
     shards: int = 1,
     checkpoint_dir: str | None = None,
     checkpoint_max_bytes: int | None = None,
+    organization: str = "raid5",
+    ndisks: int = PAPER_NDISKS,
 ) -> tuple[ShardReplayResult, str]:
     """Build a fresh paper-configuration array and replay ``workload``.
+
+    ``organization`` picks the redundancy scheme (see
+    :mod:`repro.layout.organization`) over ``ndisks`` members.
 
     Returns the result and its :func:`replay_digest` fingerprint —
     byte-identical for every ``shards`` count and store state.
@@ -276,7 +361,6 @@ def run_sharded_replay(
     ``checkpoint_max_bytes`` prunes the store's oldest entries past that
     size after the run (mirroring the sweep cache's ``--cache-max-bytes``).
     """
-    from repro.array.factory import build_array
     from repro.traces.catalog import make_trace
 
     policy_cls = _policy_registry().get(policy)
@@ -285,7 +369,7 @@ def run_sharded_replay(
             f"unknown policy {policy!r}; choose from {sorted(_policy_registry())}"
         )
     sim = Simulator()
-    array = build_array(sim, policy_cls())
+    array = build_array(sim, policy_cls(), ndisks=ndisks, organization=organization)
     trace = make_trace(
         workload,
         duration_s=duration_s,
@@ -305,6 +389,10 @@ def run_sharded_replay(
                 "seed": seed,
                 "policy": policy,
                 "array": "paper-default",
+                # Keyed only off the paper's array, so stores written
+                # before these knobs existed keep resolving.
+                **({"organization": organization} if organization != "raid5" else {}),
+                **({"ndisks": ndisks} if ndisks != PAPER_NDISKS else {}),
             }
         )
     result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
@@ -337,5 +425,5 @@ def replay_digest(result: ShardReplayResult) -> str:
             )
         )
     digest.update(struct.pack("<4d", *result.parity_lag))
-    digest.update(struct.pack("<d", result.outcome.horizon_s))
+    digest.update(struct.pack("<d", result.horizon_s))
     return digest.hexdigest()

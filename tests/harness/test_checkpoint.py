@@ -8,6 +8,7 @@ version-mismatched store never silently corrupts a resume (eviction and
 truncation fall back to cold, a foreign version is refused loudly).
 """
 
+import gc
 import glob
 import hashlib
 import json
@@ -21,19 +22,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array.factory import build_array
+from repro.array.request import ArrayRequest
 from repro.disk import IoKind
 from repro.harness import checkpoint as checkpoint_mod
 from repro.harness.experiment import run_experiment
 from repro.harness.checkpoint import (
+    CheckpointError,
     CheckpointStore,
     CheckpointVersionError,
     PrefixDigest,
 )
+from repro.harness.replay import _Feeder
 from repro.harness.sharding import (
     PICKLE_PROTOCOL,
     replay_digest,
     replay_trace_sharded,
     run_sharded_replay,
+    snapshot,
 )
 from repro.layout.organization import ORGANIZATIONS
 from repro.metrics import PerfCounters
@@ -50,7 +55,7 @@ POLICIES = {
 }
 
 
-def _replay(workload, policy, duration_s, seed=42, shards=4, scope=None):
+def _replay(workload, policy, duration_s, seed=42, shards=4, scope=None, extra_settle_s=0.0):
     sim = Simulator()
     array = build_array(sim, POLICIES[policy]())
     trace = make_trace(
@@ -59,7 +64,9 @@ def _replay(workload, policy, duration_s, seed=42, shards=4, scope=None):
         seed=seed,
         address_space_sectors=array.layout.total_data_sectors,
     )
-    result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
+    result = replay_trace_sharded(
+        sim, array, trace, shards=shards, checkpoint=scope, extra_settle_s=extra_settle_s
+    )
     return result, replay_digest(result)
 
 
@@ -72,6 +79,18 @@ def _scope(tmp_path, workload, policy, seed=42):
 
 def _entry_files(scope, kind="*"):
     return sorted(glob.glob(os.path.join(scope.path, f"{kind}-*.ckpt")))
+
+
+def _records(workload, duration_s, seed=42):
+    array = build_array(Simulator(), AlwaysRaid5Policy())
+    return list(
+        make_trace(
+            workload,
+            duration_s=duration_s,
+            seed=seed,
+            address_space_sectors=array.layout.total_data_sectors,
+        )
+    )
 
 
 # -- equivalence: cold vs resume-from-every-prefix --------------------------------------
@@ -208,19 +227,25 @@ def test_truncated_entry_is_discarded_and_replay_stays_exact(tmp_path):
 
 
 def test_deepest_truncated_cut_falls_back_to_shallower(tmp_path):
-    _, scope = _scope(tmp_path, "cello-usr", "afraid")
-    populated, _ = _replay("cello-usr", "afraid", 24.0, scope=scope, shards=6)
+    # hplajw (seed 1) has the same 165 records at 240 and 360 s, so the
+    # 240-s run's drained tail is the deepest entry a 360-s run can
+    # resume from; truncated, the run must fall back to the deepest cut.
+    _, scope = _scope(tmp_path, "hplajw", "afraid", seed=1)
+    populated, _ = _replay("hplajw", "afraid", 240.0, seed=1, scope=scope, shards=6)
     cuts = _entry_files(scope, "cut")
+    (tail,) = _entry_files(scope, "tail")
     assert len(cuts) >= 2, "expected multiple quiescent cuts at this duration"
-    for path in _entry_files(scope, "final"):
-        os.unlink(path)
-    _corrupt_truncate(cuts[-1])
-    resumed, digest = _replay("cello-usr", "afraid", 24.0, scope=scope, shards=6)
-    _, expected = _replay("cello-usr", "afraid", 24.0, shards=6)
+    long_records = _records("hplajw", 360.0, seed=1)
+    assert scope.lookup_cut(long_records, 360.0)[0] == len(long_records)
+    _corrupt_truncate(tail)
+    resumed, digest = _replay("hplajw", "afraid", 360.0, seed=1, scope=scope, shards=6)
+    cold, expected = _replay("hplajw", "afraid", 360.0, seed=1, shards=6)
     assert digest == expected
-    assert 0 < resumed.events_simulated < populated.events_simulated
+    assert resumed.resumed_at == int(os.path.basename(cuts[-1])[4:-5])
+    assert 0 < resumed.events_simulated < cold.events_simulated
+    assert resumed.events_simulated < populated.events_simulated
     # Discarded on sight, then rewritten intact by the resumed replay.
-    assert scope._read(os.path.basename(cuts[-1])) is not None
+    assert scope._read(os.path.basename(tail)) is not None
 
 
 def test_garbage_entry_is_discarded(tmp_path):
@@ -262,6 +287,128 @@ def test_protocol_mismatch_is_refused(tmp_path):
     with pytest.raises(CheckpointVersionError) as excinfo:
         scope._read(os.path.basename(path))
     assert str(PICKLE_PROTOCOL) in str(excinfo.value)
+
+
+# -- drained tails: extending from where a stored run stopped ---------------------------
+
+
+def _tail_header(scope):
+    (path,) = _entry_files(scope, "tail")
+    header, _payload = scope._read(os.path.basename(path))
+    return header
+
+
+def test_identical_records_at_a_longer_duration_resume_from_the_tail(tmp_path):
+    """hplajw (seed 1) has the same 165 records at 240 and 360 s: the
+    360-s run resumes from the 240-s run's tail and simulates only its own
+    settle — the re-armed feed's kick and the gather."""
+    assert _records("hplajw", 240.0, seed=1) == _records("hplajw", 360.0, seed=1)
+    _, scope = _scope(tmp_path, "hplajw", "afraid", seed=1)
+    _replay("hplajw", "afraid", 240.0, seed=1, scope=scope)
+    header = _tail_header(scope)
+    assert header["consumed"] == 165
+    assert float.fromhex(header["horizon"]) == 240.0
+    extended, digest = _replay("hplajw", "afraid", 360.0, seed=1, scope=scope)
+    _, expected = _replay("hplajw", "afraid", 360.0, seed=1)
+    assert digest == expected
+    assert extended.resumed_at == 165
+    assert extended.events_simulated == 2
+    # The resumed run added no record: the tail with the earlier horizon,
+    # valid for more durations, is the one kept.
+    assert float.fromhex(_tail_header(scope)["horizon"]) == 240.0
+    # A run of the same records ending no later than the tail's horizon
+    # cannot resume from it; a slice cut is the deepest entry left.
+    records = _records("hplajw", 240.0, seed=1)
+    assert scope.lookup_cut(records, 360.0)[0] == 165
+    assert scope.lookup_cut(records, 240.0)[0] < 165
+    assert scope.lookup_cut(records)[0] < 165
+
+
+def test_run_ending_with_work_pending_stores_no_tail_and_extends_from_a_cut(tmp_path):
+    # snake (seed 3) is still scrubbing at its 12-s horizon.
+    _, scope = _scope(tmp_path, "snake", "afraid", seed=3)
+    _replay("snake", "afraid", 12.0, seed=3, scope=scope)
+    assert not _entry_files(scope, "tail")
+    cuts = _entry_files(scope, "cut")
+    assert cuts
+    extended, digest = _replay("snake", "afraid", 20.0, seed=3, scope=scope)
+    cold, expected = _replay("snake", "afraid", 20.0, seed=3)
+    assert digest == expected
+    assert extended.resumed_at == int(os.path.basename(cuts[-1])[4:-5])
+    assert 0 < extended.events_simulated < cold.events_simulated
+
+
+def test_tail_whose_horizon_passes_the_next_arrival_is_not_resumed(tmp_path):
+    """A settle that runs past the longer trace's next arrival simulated
+    an interval the longer run spends differently: its tail is refused."""
+    short = _records("hplajw", 40.0, seed=1)
+    long = _records("hplajw", 60.0, seed=1)
+    assert long[: len(short)] == short and len(long) > len(short)
+    extra = long[len(short)].time_s - 40.0 + 1.0  # horizon 1 s past the arrival
+    _, scope = _scope(tmp_path, "hplajw", "afraid", seed=1)
+    _replay("hplajw", "afraid", 40.0, seed=1, scope=scope, extra_settle_s=extra)
+    header = _tail_header(scope)
+    assert float.fromhex(header["horizon"]) > long[len(short)].time_s
+    extended, digest = _replay("hplajw", "afraid", 60.0, seed=1, scope=scope)
+    cold, expected = _replay("hplajw", "afraid", 60.0, seed=1)
+    assert digest == expected
+    assert 0 < extended.resumed_at < len(short)  # a slice cut, not the tail
+    assert 0 < extended.events_simulated < cold.events_simulated
+    # Without the long settle the same stored run's tail is taken.
+    _, fresh = _scope(tmp_path / "fresh", "hplajw", "afraid", seed=1)
+    _replay("hplajw", "afraid", 40.0, seed=1, scope=fresh)
+    from_tail, digest = _replay("hplajw", "afraid", 60.0, seed=1, scope=fresh)
+    assert digest == expected
+    assert from_tail.resumed_at == len(short)
+
+
+# -- request-free snapshots -------------------------------------------------------------
+
+
+def _reachable(root, cls):
+    """Instances of ``cls`` reachable from ``root`` through gc referents."""
+    seen = {id(root)}
+    stack = [root]
+    found = 0
+    while stack:
+        obj = stack.pop()
+        found += isinstance(obj, cls)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+def test_late_snapshots_hold_no_request_objects(tmp_path):
+    _, scope = _scope(tmp_path, "AS400-2", "afraid", seed=1)
+    result, _ = _replay("AS400-2", "afraid", 240.0, seed=1, scope=scope)
+    late = [_entry_files(scope, "cut")[-1], *_entry_files(scope, "tail")]
+    assert len(late) == 2
+    for path in late:
+        header, payload = scope._read(os.path.basename(path))
+        state = pickle.loads(payload)
+        _sim, array, submitted, failures = state
+        assert submitted == header["consumed"] and failures == []
+        assert array.stats.completed == submitted
+        assert _reachable(state, ArrayRequest) == 0
+    final = pickle.loads(scope._read(os.path.basename(_entry_files(scope, "final")[0]))[1])
+    assert final.nrequests == result.nrequests == _tail_header(scope)["consumed"]
+    assert _reachable(final, ArrayRequest) == 0
+
+
+def test_fold_with_an_outstanding_request_raises():
+    sim = Simulator()
+    array = build_array(sim, BaselineAfraidPolicy())
+    feeder = _Feeder(sim, array, _records("cello-usr", 12.0), [], [])
+    feeder.start()
+    while not any(completion.callbacks is not None for completion in feeder.completions):
+        sim.step()
+    outstanding = list(feeder.completions)
+    with pytest.raises(CheckpointError, match="outstanding"):
+        snapshot(sim, array, feeder)
+    # Nothing was folded away: the run can still settle every request.
+    assert feeder.completions == outstanding and not feeder.failures
 
 
 # -- keying -----------------------------------------------------------------------------

@@ -56,7 +56,9 @@ def _direct(workload: str, policy: str, duration_s: float, seed: int):
     sim, array = _fresh(policy)
     trace = _trace_for(array, workload, duration_s, seed)
     outcome = replay_trace(sim, array, trace)
-    result = ShardReplayResult.from_array(array, outcome)
+    result = ShardReplayResult.from_array(
+        array, outcome.horizon_s, len(outcome.requests), outcome.failures
+    )
     result.events_simulated = sim.events_dispatched
     return result
 
@@ -94,7 +96,7 @@ class TestShardCountInvariance:
         result, cuts = _cold(tmp_path, "cello-usr", "afraid", 12.0, 7, 4)
         assert cuts > 0
         assert result.stats.io_times == reference.stats.io_times
-        assert result.outcome.horizon_s == reference.outcome.horizon_s
+        assert result.horizon_s == reference.horizon_s
         assert result.parity_lag == reference.parity_lag
 
     def test_n1_equals_direct_flow(self, tmp_path):
@@ -177,12 +179,17 @@ class TestObservedCuts:
         payload = advance_shard(sim, array, feeder, len(records) // 2)
         assert payload is not None
         assert len(records) // 2 <= feeder.index < len(records)
-        cut_sim, _array, requests, _completions = pickle.loads(payload)
+        cut_sim, cut_array, submitted, failures = pickle.loads(payload)
         # Nothing else pending; the record is due at the cut instant, not
         # yet submitted.
         assert not cut_sim._queue and not cut_sim._bucket
         assert cut_sim.now == pytest.approx(records[feeder.index].time_s)
-        assert len(requests) == feeder.index
+        # The cut carries the count of requests submitted so far, all of
+        # them completed, instead of the request objects.
+        assert submitted == feeder.index
+        assert failures == []
+        assert cut_array.stats.completed == submitted
+        assert feeder.requests == [] and feeder.completions == []
         # The same run carries on from the cut to the end of the feed.
         assert advance_shard(sim, array, feeder, math.inf) is None
         assert feeder.index == len(records)

@@ -1,5 +1,7 @@
 """Tests for the afraid-sim command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -77,6 +79,51 @@ class TestReplay:
                      "--checkpoint-dir", str(tmp_path), "--digest"]) == 0
         assert capsys.readouterr().out == direct
         assert list(tmp_path.glob("*/cut-*.ckpt"))
+
+    def test_raid10_extension_resumes_from_the_stored_tail(self, tmp_path, capsys):
+        import json
+
+        from repro.harness.sharding import run_sharded_replay
+
+        store = str(tmp_path / "store")
+
+        def replay(duration, *extra):
+            report = tmp_path / f"report-{duration}-{len(extra)}.json"
+            assert main(["replay", "cello-usr", "--organization", "raid10",
+                         "--duration", duration, "--report-json", str(report),
+                         "--digest", *extra]) == 0
+            return capsys.readouterr().out.strip(), json.loads(report.read_text())
+
+        _, stored = replay("30", "--shards", "4", "--checkpoint-dir", store)
+        digest, extended = replay("40", "--shards", "4", "--checkpoint-dir", store)
+        direct_digest, direct = replay("40")
+        assert digest == direct_digest
+        assert (extended["organization"], extended["ndisks"]) == ("raid10", 6)
+        assert extended["resumed_at"] == stored["requests"]
+        assert extended["requests"] == direct["requests"] > stored["requests"]
+        assert 0 < extended["events_simulated"] < direct["events_simulated"]
+        result, api_digest = run_sharded_replay(
+            "cello-usr", duration_s=40.0, organization="raid10", ndisks=6
+        )
+        assert api_digest == direct_digest
+        assert result.nrequests == direct["requests"]
+        # The organization is part of the store's key: a RAID 5 run of the
+        # same trace resumes from nothing the RAID 10 runs stored.
+        raid5, _ = run_sharded_replay("cello-usr", duration_s=40.0, shards=4,
+                                      checkpoint_dir=store)
+        assert raid5.resumed_at == 0
+
+    def test_report_table_reads_the_stats(self, capsys):
+        from repro.harness.sharding import run_sharded_replay
+
+        assert main(["replay", "hplajw", "--duration", "20"]) == 0
+        rows = dict(
+            re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            for line in capsys.readouterr().out.splitlines()[3:]
+        )
+        result, _ = run_sharded_replay("hplajw", duration_s=20.0)
+        assert rows["requests"] == str(result.nrequests)
+        assert rows["mean I/O time"] == f"{result.stats.mean_io_time * 1e3:.2f} ms"
 
 
 class TestWorkloads:
