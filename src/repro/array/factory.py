@@ -15,6 +15,17 @@ PAPER_STRIPE_UNIT_SECTORS = 16
 #: The paper's arrays are 5 disks wide.
 PAPER_NDISKS = 5
 
+#: Disk counts used when an organization is named without one: the
+#: paper's 5 for the RAID 5 family, each mirrored scheme's smallest
+#: sensible array.
+ORGANIZATION_DEFAULT_NDISKS = {
+    "raid5": PAPER_NDISKS,
+    "raid5d": PAPER_NDISKS,
+    "raid1": 2,
+    "raid10": 6,
+    "raid15": 6,
+}
+
 
 def build_array(
     sim: Simulator,

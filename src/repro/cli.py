@@ -67,25 +67,15 @@ def _make_policy(name: str, mttdl_target: float | None) -> ParityPolicy:
 #: Redundancy schemes the CLI can build (see repro.layout.organization).
 ORGANIZATION_CHOICES = ("raid5", "raid5d", "raid1", "raid10", "raid15")
 
-#: Disk counts used when --ndisks is omitted: the paper's 5 for the
-#: RAID 5 family, each mirrored scheme's smallest sensible array.
-_ORGANIZATION_DEFAULT_NDISKS = {
-    "raid5": 5,
-    "raid5d": 5,
-    "raid1": 2,
-    "raid10": 6,
-    "raid15": 6,
-}
-
-
 def _resolve_organization(args: argparse.Namespace) -> tuple[str, int]:
     """(organization, ndisks) from the common CLI knobs, validated early."""
+    from repro.array.factory import ORGANIZATION_DEFAULT_NDISKS
     from repro.layout import get_organization
 
     organization = getattr(args, "organization", "raid5") or "raid5"
     ndisks = getattr(args, "ndisks", None)
     if ndisks is None:
-        ndisks = _ORGANIZATION_DEFAULT_NDISKS[organization]
+        ndisks = ORGANIZATION_DEFAULT_NDISKS[organization]
     try:
         get_organization(organization).validate(ndisks)
     except ValueError as exc:
@@ -568,6 +558,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_availability(args: argparse.Namespace) -> int:
+    from repro.array.factory import ORGANIZATION_DEFAULT_NDISKS
     from repro.availability import organization_mttdl
     from repro.layout import get_organization
 
@@ -575,7 +566,7 @@ def cmd_availability(args: argparse.Namespace) -> int:
     organization = getattr(args, "organization", "raid5") or "raid5"
     org = get_organization(organization)
     ndisks = (
-        args.ndisks if args.ndisks is not None else _ORGANIZATION_DEFAULT_NDISKS[organization]
+        args.ndisks if args.ndisks is not None else ORGANIZATION_DEFAULT_NDISKS[organization]
     )
     try:
         org.validate(ndisks)
@@ -766,7 +757,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_max_bytes=args.checkpoint_max_bytes,
         organization=organization,
-        ndisks=ndisks,
     )
     if args.report_json:
         report = {

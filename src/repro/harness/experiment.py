@@ -322,8 +322,8 @@ def run_experiment(
                 "idle_threshold_s": idle_threshold_s,
                 "params": dataclasses.asdict(params),
                 "exposure_window_s": exposure_window_s,
-                # Added only for non-default organizations so checkpoints
-                # written before the knob existed keep resolving.
+                # Added only for non-default organizations, so a RAID 5
+                # run keeps the paper-array key.
                 **({"organization": organization} if organization != "raid5" else {}),
             }
         )

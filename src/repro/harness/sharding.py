@@ -76,7 +76,6 @@ import typing
 
 from repro.array.controller import DiskArray
 from repro.array.batchplan import warm_extent_cache
-from repro.array.factory import PAPER_NDISKS, build_array
 from repro.harness.replay import _Feeder, gc_paused, settle
 from repro.sim import Simulator
 
@@ -344,12 +343,12 @@ def run_sharded_replay(
     checkpoint_dir: str | None = None,
     checkpoint_max_bytes: int | None = None,
     organization: str = "raid5",
-    ndisks: int = PAPER_NDISKS,
 ) -> tuple[ShardReplayResult, str]:
     """Build a fresh paper-configuration array and replay ``workload``.
 
     ``organization`` picks the redundancy scheme (see
-    :mod:`repro.layout.organization`) over ``ndisks`` members.
+    :mod:`repro.layout.organization`) over its default member count,
+    :data:`~repro.array.factory.ORGANIZATION_DEFAULT_NDISKS`.
 
     Returns the result and its :func:`replay_digest` fingerprint —
     byte-identical for every ``shards`` count and store state.
@@ -361,6 +360,7 @@ def run_sharded_replay(
     ``checkpoint_max_bytes`` prunes the store's oldest entries past that
     size after the run (mirroring the sweep cache's ``--cache-max-bytes``).
     """
+    from repro.array.factory import ORGANIZATION_DEFAULT_NDISKS, build_array
     from repro.traces.catalog import make_trace
 
     policy_cls = _policy_registry().get(policy)
@@ -369,7 +369,12 @@ def run_sharded_replay(
             f"unknown policy {policy!r}; choose from {sorted(_policy_registry())}"
         )
     sim = Simulator()
-    array = build_array(sim, policy_cls(), ndisks=ndisks, organization=organization)
+    array = build_array(
+        sim,
+        policy_cls(),
+        ndisks=ORGANIZATION_DEFAULT_NDISKS[organization],
+        organization=organization,
+    )
     trace = make_trace(
         workload,
         duration_s=duration_s,
@@ -389,10 +394,9 @@ def run_sharded_replay(
                 "seed": seed,
                 "policy": policy,
                 "array": "paper-default",
-                # Keyed only off the paper's array, so stores written
-                # before these knobs existed keep resolving.
+                # Named only off RAID 5, as run_experiment keys it, so a
+                # RAID 5 replay keeps the paper-array key other code uses.
                 **({"organization": organization} if organization != "raid5" else {}),
-                **({"ndisks": ndisks} if ndisks != PAPER_NDISKS else {}),
             }
         )
     result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)

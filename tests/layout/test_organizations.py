@@ -24,6 +24,13 @@ class TestRegistry:
         assert set(ORGANIZATIONS) == {"raid5", "raid5d", "raid1", "raid10", "raid15"}
         assert DEFAULT_ORGANIZATION == "raid5"
 
+    def test_every_scheme_has_a_valid_default_member_count(self):
+        from repro.array.factory import ORGANIZATION_DEFAULT_NDISKS
+
+        assert set(ORGANIZATION_DEFAULT_NDISKS) == set(ORGANIZATIONS)
+        for name, ndisks in ORGANIZATION_DEFAULT_NDISKS.items():
+            get_organization(name).validate(ndisks)
+
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="raid10"):
             get_organization("raid7")

@@ -103,7 +103,7 @@ class TestReplay:
         assert extended["requests"] == direct["requests"] > stored["requests"]
         assert 0 < extended["events_simulated"] < direct["events_simulated"]
         result, api_digest = run_sharded_replay(
-            "cello-usr", duration_s=40.0, organization="raid10", ndisks=6
+            "cello-usr", duration_s=40.0, organization="raid10"
         )
         assert api_digest == direct_digest
         assert result.nrequests == direct["requests"]
